@@ -425,7 +425,7 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 			}
 			st.Migration = migration
 		}
-		next, emptied := hypergraph.NextRoundBits(cur, nil, blue, scratch)
+		next, emptied := hypergraph.NextRoundBits(cur, nil, blue, scratch, cost)
 		st.Emptied = emptied
 		if emptied > 0 {
 			return nil, fmt.Errorf("bl: %d edges became fully blue at stage %d (independence broken)", emptied, stage)

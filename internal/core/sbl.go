@@ -376,11 +376,10 @@ func runOnce(h *hypergraph.Hypergraph, s *rng.Stream, cost *par.Cost, opts Optio
 		// the survivors by I' in one pass into the scratch's other
 		// buffer (NextRoundBits is edge-set-identical to
 		// DiscardTouching → Shrink; property-tested).
-		next, emptied := hypergraph.NextRoundBits(cur, redBits, blueBits, scratch)
+		next, emptied := hypergraph.NextRoundBits(cur, redBits, blueBits, scratch, cost)
 		if emptied > 0 {
 			return nil, fmt.Errorf("sbl: %d edges became fully blue at round %d (independence broken)", emptied, round)
 		}
-		par.ChargeStep(cost, cur.M())
 		cur = next
 
 		if opts.VerifyEachRound {

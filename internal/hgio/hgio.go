@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,6 +151,11 @@ func ReadText(r io.Reader) (*hypergraph.Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hgio: bad vertex %q", f)
 			}
+			// Checked before narrowing to V, so an id past the int32
+			// range cannot alias a small one.
+			if v < 0 || v >= n || v > math.MaxInt32 {
+				return nil, fmt.Errorf("hgio: vertex %d out of range [0,%d)", v, n)
+			}
 			e = append(e, hypergraph.V(v))
 		}
 		b.AddEdgeSlice(e)
@@ -230,11 +236,13 @@ func ReadBinary(r io.Reader) (*hypergraph.Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hgio: edge %d vertex %d: %w", i, j, err)
 			}
-			if j == 0 {
-				prev = d
-			} else {
-				prev += d
+			// The first id is absolute, the rest are gaps. Checking
+			// against n−prev keeps the sum below n ≤ 2^31, so it can
+			// neither wrap nor alias a small id when narrowed to V.
+			if d >= n-prev {
+				return nil, fmt.Errorf("hgio: edge %d vertex %d: id out of range [0,%d)", i, j, n)
 			}
+			prev += d
 			e = append(e, hypergraph.V(prev))
 		}
 		b.AddEdgeSlice(e)

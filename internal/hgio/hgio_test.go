@@ -3,10 +3,12 @@ package hgio
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,7 +115,12 @@ func TestReadTextErrors(t *testing.T) {
 		"nonsense\n",               // bad header
 		"hypergraph 3 2\n0 1\n",    // count mismatch
 		"hypergraph 3 1\n0 x\n",    // bad vertex
-		"hypergraph 3 1\n0 1 99\n", // out of range (builder rejects)
+		"hypergraph 3 1\n0 1 99\n", // out of range
+		// Ids past int32 must not be narrowed into range: 2^32+1 and
+		// −(2^32−1) would both alias vertex 1.
+		"hypergraph 5 1\n4294967297 2\n",
+		"hypergraph 9000000000 1\n4294967297 2\n",
+		"hypergraph 5 1\n-4294967295 2\n",
 	}
 	for _, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
@@ -136,6 +143,42 @@ func TestReadBinaryErrors(t *testing.T) {
 	buf.WriteByte(0)
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Fatal("implausible n accepted")
+	}
+}
+
+// TestReadersRejectAliasingIDs pins that binary ids outside [0, n) are
+// rejected before they are narrowed to int32: a first id of 2^32+1
+// would otherwise alias vertex 1, and a wrapping delta sum vertex 1 as
+// well. The text cases are in TestReadTextErrors.
+func TestReadersRejectAliasingIDs(t *testing.T) {
+	binaryEdge := func(ids ...uint64) []byte {
+		b := []byte(binaryMagic)
+		b = binary.AppendUvarint(b, 5) // n
+		b = binary.AppendUvarint(b, 1) // m
+		b = binary.AppendUvarint(b, uint64(len(ids)))
+		for _, d := range ids {
+			b = binary.AppendUvarint(b, d)
+		}
+		return b
+	}
+	for name, in := range map[string][]byte{
+		"first id 2^32+1":  binaryEdge(1<<32+1, 1),
+		"gap past n":       binaryEdge(1, 4),
+		"wrapping gap sum": binaryEdge(3, math.MaxUint64-1),
+		"first id at n":    binaryEdge(5, 1),
+	} {
+		if h, err := ReadBinary(bytes.NewReader(in)); err == nil {
+			t.Errorf("binary %s accepted as %v", name, h.Edges())
+		}
+	}
+	// The largest in-range ids still parse.
+	h, err := ReadBinary(bytes.NewReader(binaryEdge(3, 1)))
+	if err != nil || h.M() != 1 || fmt.Sprint(h.Edge(0)) != "[3 4]" {
+		t.Fatalf("binary {3, 4} on n=5: %v, %v", h, err)
+	}
+	h, err = ReadText(strings.NewReader("hypergraph 5 1\n3 4\n"))
+	if err != nil || h.M() != 1 || fmt.Sprint(h.Edge(0)) != "[3 4]" {
+		t.Fatalf("text {3, 4} on n=5: %v, %v", h, err)
 	}
 }
 

@@ -1,7 +1,8 @@
 package hypergraph
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/par"
@@ -20,11 +21,32 @@ import (
 // tallies + an exact prefix sum over the shards, so the assigned slots
 // — and therefore the output arenas — are bit-identical to the
 // sequential scan for any worker count.
+//
+// A round that shrinks edges can break the canonical edge order and
+// create duplicates. Edges that kept their length are a subsequence of
+// the canonical input, so they are still sorted and distinct; only the
+// shrunk ones need sorting. Canonicalization therefore sorts the shrunk
+// edges (per-shard sorts merged pairwise), merges them with the
+// unchanged ones while dropping duplicates, and repacks the arena once
+// in merged order. Every merge is cut into equal shards by Merge Path
+// co-rank search (Odeh et al., IPDPSW 2012), so each shard writes
+// exactly the slots of a serial merge, and the repack is the same
+// tally/prefix-sum pattern as slot assignment.
 
 // parallelScanThreshold is the arena size above which the per-edge
-// classification and scatter passes are sharded over the worker pool.
-// Below it the sequential loop wins (and allocates nothing at all).
+// classification, scatter and canonicalization passes are sharded over
+// the worker pool. Below it the sequential loops win (and allocate
+// nothing at all).
 const parallelScanThreshold = 1 << 14
+
+// resize returns s with length n, reallocating only when its capacity
+// is insufficient.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // csrBuf is one reusable CSR arena plus the Hypergraph header served
 // from it.
@@ -38,29 +60,24 @@ type csrBuf struct {
 // grow reslices the buffer's arrays to the requested sizes, reallocating
 // only when capacity is insufficient.
 func (b *csrBuf) grow(nVerts, nEdges int) {
-	if cap(b.verts) < nVerts {
-		b.verts = make([]V, nVerts)
-	} else {
-		b.verts = b.verts[:nVerts]
-	}
-	if cap(b.off) < nEdges+1 {
-		b.off = make([]int32, nEdges+1)
-	} else {
-		b.off = b.off[:nEdges+1]
-	}
-	if cap(b.edges) < nEdges {
-		b.edges = make([]Edge, nEdges)
-	} else {
-		b.edges = b.edges[:nEdges]
+	b.verts = resize(b.verts, nVerts)
+	b.off = resize(b.off, nEdges+1)
+	b.edges = resize(b.edges, nEdges)
+}
+
+// edge returns edge j of the arena, read through off (the headers are
+// built last).
+func (b *csrBuf) edge(j int32) Edge { return b.verts[b.off[j]:b.off[j+1]] }
+
+// setEdges builds the edge headers [lo, hi) from off/verts.
+func (b *csrBuf) setEdges(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b.edges[i] = b.verts[b.off[i]:b.off[i+1]:b.off[i+1]]
 	}
 }
 
-// finish rebuilds the edge headers from off/verts and installs the
-// Hypergraph header.
+// finish installs the Hypergraph header over the buffer's arrays.
 func (b *csrBuf) finish(n, dim int) *Hypergraph {
-	for i := range b.edges {
-		b.edges[i] = b.verts[b.off[i]:b.off[i+1]:b.off[i+1]]
-	}
 	b.hg = Hypergraph{n: n, dim: dim, verts: b.verts, off: b.off, edges: b.edges}
 	return &b.hg
 }
@@ -85,22 +102,38 @@ type RoundScratch struct {
 	ring    [2]csrBuf
 	ringIdx int
 	sample  csrBuf
-	keep    []int32 // per input edge: output edge index, or -1 dropped
-	pos     []int32 // per input edge: output arena offset
-	spill   []V     // reorder arena for the rare out-of-order repack
-	stage   edgeSorter
+	// Per input edge: output edge index, or -1 dropped. Canonicalization
+	// reuses it for the merged edge order.
+	keep []int32
+	// Per input edge: output arena offset. Canonicalization reuses it as
+	// the sort's merge buffer.
+	pos []int32
+	// Output edge indices: the unchanged edges ascending at the front,
+	// the shrunk ones at the back (ascending before the sort).
+	split []int32
+	// Arena and offsets canonicalization repacks into; swapped with the
+	// output's, so the old ones become the next round's spill.
+	spill    []V
+	spillOff []int32
 
-	// Per-shard slot-assignment tallies (edges, verts, dim, emptied).
-	tallyE, tallyV, tallyD, tallyZ []int32
+	// Per-shard tallies, plus one slot for the totals (see scanTallies).
+	tally []shardTally
+}
+
+// shardTally is one shard's counts in a tally/prefix-sum pass; after
+// scanTallies, edges/verts/shrunk hold the shard's exclusive bases.
+type shardTally struct {
+	edges, verts, shrunk, dim, emptied int32
 }
 
 // Poison overwrites every arena the scratch has ever grown with
 // garbage. The round pipeline fully rewrites whatever it reads back
-// (classify writes every keep/pos slot, grow+scatter+finish write
-// every arena cell of the output shape), so a poisoned scratch must
-// still produce identical rounds — the workspace-pooling property
-// tests call this between jobs to prove no stale state leaks through.
-// Hypergraphs previously served from the scratch are invalidated.
+// (classify writes every keep/pos slot, slot assignment every split
+// slot it hands out, grow+scatter+canonicalize every arena cell of the
+// output shape), so a poisoned scratch must still produce identical
+// rounds — the workspace-pooling property tests call this between jobs
+// to prove no stale state leaks through. Hypergraphs previously served
+// from the scratch are invalidated.
 func (scr *RoundScratch) Poison() {
 	bufs := []*csrBuf{&scr.ring[0], &scr.ring[1], &scr.sample}
 	for _, b := range bufs {
@@ -114,29 +147,18 @@ func (scr *RoundScratch) Poison() {
 			b.edges[i] = nil
 		}
 	}
-	for i := range scr.keep {
-		scr.keep[i] = -7
-	}
-	for i := range scr.pos {
-		scr.pos[i] = -7
+	for _, s := range [][]int32{scr.keep, scr.pos, scr.split, scr.spillOff} {
+		for i := range s {
+			s[i] = -7
+		}
 	}
 	for i := range scr.spill {
 		scr.spill[i] = V(-1)
 	}
-	for _, t := range [][]int32{scr.tallyE, scr.tallyV, scr.tallyD, scr.tallyZ} {
-		for i := range t {
-			t[i] = -7
-		}
+	for i := range scr.tally {
+		scr.tally[i] = shardTally{-7, -7, -7, -7, -7}
 	}
 }
-
-// edgeSorter sorts edge headers lexicographically; kept in the scratch
-// so sort.Sort receives a persistent interface value (no allocation).
-type edgeSorter struct{ edges []Edge }
-
-func (s *edgeSorter) Len() int           { return len(s.edges) }
-func (s *edgeSorter) Less(i, j int) bool { return lessEdge(s.edges[i], s.edges[j]) }
-func (s *edgeSorter) Swap(i, j int)      { s.edges[i], s.edges[j] = s.edges[j], s.edges[i] }
 
 // target returns the ring buffer NextRound may write: the one cur does
 // not occupy.
@@ -150,108 +172,118 @@ func (scr *RoundScratch) target(cur *Hypergraph) *csrBuf {
 }
 
 func (scr *RoundScratch) growClassify(m int) {
-	if cap(scr.keep) < m {
-		scr.keep = make([]int32, m)
-		scr.pos = make([]int32, m)
-	} else {
-		scr.keep = scr.keep[:m]
-		scr.pos = scr.pos[:m]
-	}
+	scr.keep = resize(scr.keep, m)
+	scr.pos = resize(scr.pos, m)
+	scr.split = resize(scr.split, m)
 }
 
-// growTallies sizes and zeroes the per-shard tally slots. Zeroing
-// matters: trailing shards whose block is empty are never invoked by
-// ForShards, and the prefix sum reads every slot — a recycled slot
-// must not leak a previous round's counts.
-func (scr *RoundScratch) growTallies(shards int) {
-	if cap(scr.tallyE) < shards {
-		scr.tallyE = make([]int32, shards)
-		scr.tallyV = make([]int32, shards)
-		scr.tallyD = make([]int32, shards)
-		scr.tallyZ = make([]int32, shards)
-		return
+// growTallies returns shards+1 zeroed tally slots. Zeroing matters:
+// trailing shards whose block is empty are never invoked by ForShards,
+// and the prefix sum reads every slot — a recycled slot must not leak
+// a previous pass's counts.
+func (scr *RoundScratch) growTallies(shards int) []shardTally {
+	scr.tally = resize(scr.tally, shards+1)
+	clear(scr.tally)
+	return scr.tally
+}
+
+// scanTallies turns the per-shard counts in t[:len(t)-1] into exclusive
+// prefix sums (each shard's first output slot) and stores the totals —
+// with the maximum dim and the summed emptied count — in t[len(t)-1],
+// which it also returns. Shards are few, so the scan is sequential.
+func scanTallies(t []shardTally) shardTally {
+	var sum shardTally
+	last := len(t) - 1
+	for s := range t[:last] {
+		c := t[s]
+		t[s].edges, t[s].verts, t[s].shrunk = sum.edges, sum.verts, sum.shrunk
+		sum.edges += c.edges
+		sum.verts += c.verts
+		sum.shrunk += c.shrunk
+		sum.dim = max(sum.dim, c.dim)
+		sum.emptied += c.emptied
 	}
-	scr.tallyE = scr.tallyE[:shards]
-	scr.tallyV = scr.tallyV[:shards]
-	scr.tallyD = scr.tallyD[:shards]
-	scr.tallyZ = scr.tallyZ[:shards]
-	for i := 0; i < shards; i++ {
-		scr.tallyE[i], scr.tallyV[i], scr.tallyD[i], scr.tallyZ[i] = 0, 0, 0, 0
-	}
+	t[last] = sum
+	return sum
 }
 
 // assignSlots turns the classify pass's keep array (−1 = dead, else
 // post-transform size; 0 counts as emptied and is demoted to −1) into
 // output slot assignments: keep[i] becomes the output edge index and
-// pos[i] the output arena offset for every surviving edge. It returns
-// the output shape. Large edge lists run as per-shard tallies plus an
+// pos[i] the output arena offset for every surviving edge. It also
+// splits the output edges by whether they shrank (size below the input
+// edge h.edges[i]): split[:edges−shrunk] lists the unchanged ones and
+// split[m−shrunk:m] the shrunk ones, both ascending. It returns the
+// output totals. Large edge lists run as per-shard tallies plus an
 // exact prefix sum over the shards, which assigns the same slots as
 // the sequential scan for any worker count.
-func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, dim, emptied int) {
-	keep, pos := scr.keep, scr.pos
+func (scr *RoundScratch) assignSlots(h *Hypergraph) shardTally {
+	m := len(h.edges)
+	keep, pos, split, off := scr.keep, scr.pos, scr.split, h.off
 	shards := scr.Eng.NumShards(m)
 	if m < parallelScanThreshold || shards <= 1 {
+		var tot shardTally
 		for i := 0; i < m; i++ {
 			k := keep[i]
 			switch {
 			case k < 0:
 				continue
 			case k == 0:
-				emptied++
+				tot.emptied++
 				keep[i] = -1
 				continue
 			}
-			keep[i] = int32(outEdges)
-			pos[i] = int32(outVerts)
-			outEdges++
-			outVerts += int(k)
-			if int(k) > dim {
-				dim = int(k)
+			if k < off[i+1]-off[i] {
+				tot.shrunk++
+				split[int32(m)-tot.shrunk] = tot.edges
+			} else {
+				split[tot.edges-tot.shrunk] = tot.edges
 			}
+			keep[i] = tot.edges
+			pos[i] = tot.verts
+			tot.edges++
+			tot.verts += k
+			tot.dim = max(tot.dim, k)
 		}
-		return
+		slices.Reverse(split[int32(m)-tot.shrunk:])
+		return tot
 	}
-	scr.growTallies(shards)
-	tE, tV, tD, tZ := scr.tallyE, scr.tallyV, scr.tallyD, scr.tallyZ
+	t := scr.growTallies(shards)
 	scr.Eng.ForShards(nil, m, shards, func(s, lo, hi int) {
-		var e, v, d, z int32
+		var c shardTally
 		for i := lo; i < hi; i++ {
 			k := keep[i]
 			switch {
 			case k < 0:
 				continue
 			case k == 0:
-				z++
+				c.emptied++
 				keep[i] = -1
 				continue
 			}
-			e++
-			v += k
-			if k > d {
-				d = k
+			if k < off[i+1]-off[i] {
+				c.shrunk++
 			}
+			c.edges++
+			c.verts += k
+			c.dim = max(c.dim, k)
 		}
-		tE[s], tV[s], tD[s], tZ[s] = e, v, d, z
+		t[s] = c
 	})
-	// Exact exclusive prefix over the shard tallies (shards are few).
-	var baseE, baseV int32
-	for s := 0; s < shards; s++ {
-		e, v := tE[s], tV[s]
-		tE[s], tV[s] = baseE, baseV
-		baseE += e
-		baseV += v
-		if int(tD[s]) > dim {
-			dim = int(tD[s])
-		}
-		emptied += int(tZ[s])
-	}
-	outEdges, outVerts = int(baseE), int(baseV)
+	tot := scanTallies(t)
+	shrunkBase := int32(m) - tot.shrunk
 	scr.Eng.ForShards(nil, m, shards, func(s, lo, hi int) {
-		e, v := tE[s], tV[s]
+		e, v, ks := t[s].edges, t[s].verts, t[s].shrunk
 		for i := lo; i < hi; i++ {
 			k := keep[i]
 			if k < 0 {
 				continue
+			}
+			if k < off[i+1]-off[i] {
+				split[shrunkBase+ks] = e
+				ks++
+			} else {
+				split[e-ks] = e
 			}
 			keep[i] = e
 			pos[i] = v
@@ -259,7 +291,17 @@ func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, dim, emptied in
 			v += k
 		}
 	})
-	return
+	return tot
+}
+
+// buildHeaders builds all of dst's edge headers, sharded when the arena
+// is large.
+func (scr *RoundScratch) buildHeaders(dst *csrBuf, parallel bool) {
+	if parallel {
+		scr.Eng.ForBlocked(nil, len(dst.edges), dst.setEdges)
+	} else {
+		dst.setEdges(0, len(dst.edges))
+	}
 }
 
 // InduceInto is Induced on scratch storage: it returns the
@@ -296,20 +338,24 @@ func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph
 }
 
 // induceFinish runs the shared slot-assignment and scatter phases of
-// InduceInto/InduceIntoBits.
+// InduceInto/InduceIntoBits. Induction never shrinks an edge, so the
+// result is canonical as scattered.
 func (scr *RoundScratch) induceFinish(h *Hypergraph) *Hypergraph {
 	m := len(h.edges)
-	outEdges, outVerts, dim, _ := scr.assignSlots(m)
+	tot := scr.assignSlots(h)
+	outEdges, outVerts := int(tot.edges), int(tot.verts)
 	dst := &scr.sample
 	dst.grow(outVerts, outEdges)
 	keep, pos := scr.keep, scr.pos
-	if outVerts >= parallelScanThreshold {
+	parallel := outVerts >= parallelScanThreshold
+	if parallel {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { induceScatter(h, keep, pos, dst, lo, hi) })
 	} else {
 		induceScatter(h, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
-	return dst.finish(h.n, dim)
+	scr.buildHeaders(dst, parallel)
+	return dst.finish(h.n, int(tot.dim))
 }
 
 // induceClassify marks edges [lo, hi): keep[i] = the edge's size if it
@@ -355,7 +401,7 @@ func induceScatter(h *Hypergraph, keep, pos []int32, dst *csrBuf, lo, hi int) {
 
 // NextRound applies one fused solver round to cur: edges touching a red
 // vertex die (DiscardTouching), surviving edges shrink by the blue
-// vertices (Shrink), and the result is re-canonicalized — all in single
+// vertices (Shrink), and the result is restored to canonical order — in
 // passes over the CSR arena into the scratch's other ring buffer. The
 // second return value counts edges that became empty (fully blue), an
 // independence violation for a correct pipeline.
@@ -375,14 +421,16 @@ func NextRound(cur *Hypergraph, isRed, isBlue func(V) bool, scr *RoundScratch) (
 	} else {
 		roundClassify(cur, isRed, isBlue, keep, 0, m)
 	}
-	return scr.roundFinish(cur, isBlue, nil)
+	return scr.roundFinish(cur, isBlue, nil, nil)
 }
 
 // NextRoundBits is NextRound with the red and blue sets given as
 // bitsets; a nil red set means no vertex is red (the BL stages), blue
 // must be non-nil. The classification and scatter passes test
-// membership with word probes.
-func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch) (*Hypergraph, int) {
+// membership with word probes. It charges the round's idealized PRAM
+// cost to c: one elementwise step for classify and scatter, plus the
+// sort and merge of canonicalization when it runs.
+func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Hypergraph, int) {
 	m := len(cur.edges)
 	scr.growClassify(m)
 	keep := scr.keep
@@ -391,25 +439,27 @@ func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch) (*H
 	} else {
 		roundClassifyBits(cur, red, blue, keep, 0, m)
 	}
-	return scr.roundFinish(cur, nil, blue)
+	return scr.roundFinish(cur, nil, blue, c)
 }
 
 // roundFinish runs the shared slot-assignment, scatter and
-// re-canonicalization phases of NextRound/NextRoundBits. Exactly one of
-// isBlue and blue is non-nil and selects the scatter flavor; the
-// sequential path calls the scatter loops directly so a warm round
-// allocates nothing.
-func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue bitset.Set) (*Hypergraph, int) {
+// canonicalization phases of NextRound/NextRoundBits and charges the
+// round to c. Exactly one of isBlue and blue is non-nil and selects the
+// scatter flavor; the sequential path calls every pass directly so a
+// warm round allocates nothing.
+func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue bitset.Set, c *par.Cost) (*Hypergraph, int) {
 	m := len(cur.edges)
-	outEdges, outVerts, dim, emptied := scr.assignSlots(m)
+	tot := scr.assignSlots(cur)
+	outEdges, outVerts, shrunk := int(tot.edges), int(tot.verts), int(tot.shrunk)
 	dst := scr.target(cur)
 	dst.grow(outVerts, outEdges)
 	keep, pos := scr.keep, scr.pos
+	parallel := outVerts >= parallelScanThreshold
 	// Pass 2: scatter surviving vertices.
 	switch {
-	case outVerts >= parallelScanThreshold && blue != nil:
+	case parallel && blue != nil:
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundScatterBits(cur, blue, keep, pos, dst, lo, hi) })
-	case outVerts >= parallelScanThreshold:
+	case parallel:
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundScatter(cur, isBlue, keep, pos, dst, lo, hi) })
 	case blue != nil:
 		roundScatterBits(cur, blue, keep, pos, dst, 0, m)
@@ -417,22 +467,17 @@ func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue 
 		roundScatter(cur, isBlue, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
-	next := dst.finish(cur.n, dim)
-	// Shrinking can break the lexicographic edge order and create
-	// duplicate edges; detect in one comparison pass and
-	// re-canonicalize only then (blue-free rounds skip this entirely).
-	sorted := true
-	for i := 1; i < outEdges; i++ {
-		if !lessEdge(next.edges[i-1], next.edges[i]) {
-			sorted = false
-			break
-		}
+	par.ChargeStep(c, m)
+	// Pass 3: unchanged edges are still in canonical order, so only a
+	// shrunk edge can be out of place or a duplicate; when one is,
+	// canonicalize (which builds the edge headers as it repacks).
+	if shrunk > 0 && !shrunkInOrder(dst, scr.split[m-shrunk:]) {
+		scr.canonicalize(dst, m, shrunk, parallel)
+		par.ChargeSortMerge(c, shrunk, outEdges)
+	} else {
+		scr.buildHeaders(dst, parallel)
 	}
-	if !sorted {
-		scr.recanonicalize(dst)
-		next = &dst.hg
-	}
-	return next, emptied
+	return dst.finish(cur.n, int(tot.dim)), int(tot.emptied)
 }
 
 // roundClassify computes, for each edge of [lo, hi), -1 if it touches a
@@ -518,50 +563,206 @@ func roundScatterBits(cur *Hypergraph, blue bitset.Set, keep, pos []int32, dst *
 	}
 }
 
-// recanonicalize restores canonical edge order in dst: sort the
-// headers, drop duplicates, then repack the arena in sorted order via
-// the spill buffer (swapped back in — no allocation once warm).
-func (scr *RoundScratch) recanonicalize(dst *csrBuf) {
-	scr.stage.edges = dst.edges
-	sort.Sort(&scr.stage)
-	edges := dst.edges
-	w := 0
-	for i := range edges {
-		if i == 0 || !equalEdge(edges[i], edges[i-1]) {
-			edges[w] = edges[i]
-			w++
+// shrunkInOrder reports whether dst's edges are still strictly
+// increasing after a round that shrank the edges at indices shr. Two
+// adjacent unchanged edges are consecutive in the canonical input, so
+// only pairs with a shrunk member need comparing.
+func shrunkInOrder(dst *csrBuf, shr []int32) bool {
+	last := int32(len(dst.off) - 2)
+	for _, j := range shr {
+		if j > 0 && slices.Compare(dst.edge(j-1), dst.edge(j)) >= 0 {
+			return false
+		}
+		if j < last && slices.Compare(dst.edge(j), dst.edge(j+1)) >= 0 {
+			return false
 		}
 	}
-	edges = edges[:w]
-	total := 0
-	for _, e := range edges {
-		total += len(e)
+	return true
+}
+
+// canonicalize restores canonical order in dst after a round shrank k
+// of its edges: it sorts the shrunk edges, merges them with the
+// unchanged ones while dropping duplicates, and repacks the arena once
+// in merged order into the spill buffers, which are then swapped in
+// (no allocation once warm). It reads the split slot assignment left
+// behind: split[:len−k] unchanged, split[m−k:m] shrunk. Both merge and
+// repack cut the L output diagonals into the same (L, shards) blocks,
+// so the repack finds each shard's merged edges where the merge put
+// them.
+func (scr *RoundScratch) canonicalize(dst *csrBuf, m, k int, parallel bool) {
+	L := len(dst.off) - 1
+	unch := scr.split[:L-k]
+	shr := scr.sortShrunk(dst, m, k, parallel)
+	shards := 1
+	if parallel {
+		shards = scr.Eng.NumShards(L)
 	}
-	if cap(scr.spill) < total {
-		scr.spill = make([]V, total)
+	t := scr.growTallies(shards)
+	if shards == 1 {
+		mergeShard(dst, unch, shr, scr.keep, &t[0], 0, L)
 	} else {
-		scr.spill = scr.spill[:total]
+		keep := scr.keep
+		scr.Eng.ForShards(nil, L, shards, func(s, lo, hi int) { mergeShard(dst, unch, shr, keep, &t[s], lo, hi) })
 	}
-	if cap(dst.off) < w+1 {
-		dst.off = make([]int32, w+1)
+	tot := scanTallies(t)
+	w := int(tot.edges)
+	scr.spill = resize(scr.spill, int(tot.verts))
+	scr.spillOff = resize(scr.spillOff, w+1)
+	if shards == 1 {
+		scr.repackShard(dst, t, 0, 0)
 	} else {
-		dst.off = dst.off[:w+1]
+		scr.Eng.ForShards(nil, L, shards, func(s, lo, _ int) { scr.repackShard(dst, t, s, lo) })
 	}
-	pos := 0
-	for i, e := range edges {
-		dst.off[i] = int32(pos)
-		copy(scr.spill[pos:], e)
-		pos += len(e)
-	}
-	dst.off[w] = int32(total)
-	// Swap arenas: the spill becomes the buffer's arena and the old
-	// arena becomes the next spill.
+	scr.spillOff[w] = tot.verts
 	dst.verts, scr.spill = scr.spill, dst.verts
+	dst.off, scr.spillOff = scr.spillOff, dst.off
 	dst.edges = dst.edges[:w]
-	for i := range dst.edges {
-		dst.edges[i] = dst.verts[dst.off[i]:dst.off[i+1]:dst.off[i+1]]
+}
+
+// sortShrunk sorts the shrunk edges' indices split[m−k:m] by edge and
+// returns the sorted list, which ends in split or in pos (the merge
+// buffer), depending on the number of merge levels. Large lists sort
+// per shard and then merge pairwise, bottom up, each level cut into
+// equal shards by co-rank search.
+func (scr *RoundScratch) sortShrunk(dst *csrBuf, m, k int, parallel bool) []int32 {
+	idx := scr.split[m-k : m]
+	lg := bits.Len(uint(k))
+	shards := 1
+	if parallel {
+		shards = scr.Eng.ShardsFor(k, lg)
 	}
-	dst.hg.verts = dst.verts
-	dst.hg.off = dst.off
-	dst.hg.edges = dst.edges
+	if shards == 1 {
+		sortByEdge(dst, idx)
+		return idx
+	}
+	scr.Eng.ForShardsWork(nil, k, lg, shards, func(_, lo, hi int) { sortByEdge(dst, idx[lo:hi]) })
+	src, tmp := idx, scr.pos[m-k:m]
+	for width := (k + shards - 1) / shards; width < k; width *= 2 {
+		in, out := src, tmp
+		scr.Eng.ForShards(nil, k, shards, func(_, lo, hi int) { mergeRuns(dst, in, out, width, lo, hi) })
+		src, tmp = tmp, src
+	}
+	return src
+}
+
+// sortByEdge sorts edge indices by the edges they name.
+func sortByEdge(dst *csrBuf, idx []int32) {
+	slices.SortFunc(idx, func(x, y int32) int { return slices.Compare(dst.edge(x), dst.edge(y)) })
+}
+
+// mergeRuns writes out[lo:hi] of one bottom-up merge level: src holds
+// sorted runs of the given width, and each output slot belongs to the
+// merge of the run pair covering it.
+func mergeRuns(dst *csrBuf, src, out []int32, width, lo, hi int) {
+	for lo < hi {
+		a := lo - lo%(2*width)
+		mid := min(a+width, len(src))
+		b := min(mid+width, len(src))
+		end := min(hi, b)
+		A, B := src[a:mid], src[mid:b]
+		i := coRank(dst, A, B, lo-a)
+		mergeFrom(dst, A, B, i, lo-a-i, out[lo:end], false, nil)
+		lo = end
+	}
+}
+
+// coRank returns how many elements of A precede diagonal d of the
+// stable merge of the sorted lists A and B (ties take A first): the
+// Merge Path split point, found by binary search.
+func coRank(dst *csrBuf, A, B []int32, d int) int {
+	lo, hi := max(0, d-len(B)), min(d, len(A))
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		if slices.Compare(dst.edge(A[i]), dst.edge(B[d-i-1])) <= 0 {
+			lo = i + 1
+		} else {
+			hi = i
+		}
+	}
+	return lo
+}
+
+// mergeFrom walks len(out) steps of the stable merge of A[i:] and B[j:]
+// (ties take A first) and writes the edges it passes to out. With
+// dedupe set it skips every edge equal to its predecessor, last being
+// the predecessor of the first. It returns how many edges it wrote and
+// their total size.
+func mergeFrom(dst *csrBuf, A, B []int32, i, j int, out []int32, dedupe bool, last Edge) (n, nv int) {
+	var ea, eb Edge
+	if i < len(A) {
+		ea = dst.edge(A[i])
+	}
+	if j < len(B) {
+		eb = dst.edge(B[j])
+	}
+	for range out {
+		var x int32
+		var e Edge
+		if i < len(A) && (j == len(B) || slices.Compare(ea, eb) <= 0) {
+			x, e = A[i], ea
+			if i++; i < len(A) {
+				ea = dst.edge(A[i])
+			}
+		} else {
+			x, e = B[j], eb
+			if j++; j < len(B) {
+				eb = dst.edge(B[j])
+			}
+		}
+		if dedupe && slices.Equal(e, last) {
+			continue
+		}
+		out[n] = x
+		n++
+		nv += len(e)
+		last = e
+	}
+	return n, nv
+}
+
+// mergeShard merges diagonals [lo, hi) of the unchanged edges A
+// (sorted, distinct) with the sorted shrunk edges B into out[lo:],
+// dropping every edge equal to its predecessor in merged order, and
+// tallies the edges and vertices it kept.
+func mergeShard(dst *csrBuf, A, B, out []int32, t *shardTally, lo, hi int) {
+	i := coRank(dst, A, B, lo)
+	j := lo - i
+	// The predecessor of diagonal lo is the later of A[i−1] and B[j−1].
+	var last Edge
+	if i > 0 {
+		last = dst.edge(A[i-1])
+	}
+	if j > 0 && (i == 0 || slices.Compare(last, dst.edge(B[j-1])) <= 0) {
+		last = dst.edge(B[j-1])
+	}
+	n, nv := mergeFrom(dst, A, B, i, j, out[lo:hi], true, last)
+	t.edges, t.verts = int32(n), int32(nv)
+}
+
+// repackShard copies shard s's merged edges, out[lo:] as mergeShard
+// left them in keep, into the spill arena at the shard's prefix-summed
+// slots, writing their offsets and final edge headers. Runs of
+// consecutive edges are contiguous in the old arena too, so each run
+// moves with one copy.
+func (scr *RoundScratch) repackShard(dst *csrBuf, t []shardTally, s, lo int) {
+	r, v := t[s].edges, t[s].verts
+	merged := scr.keep[lo : lo+int(t[s+1].edges-r)]
+	off := dst.off
+	for a := 0; a < len(merged); {
+		b := a + 1
+		for b < len(merged) && merged[b] == merged[b-1]+1 {
+			b++
+		}
+		base, top := off[merged[a]], off[merged[b-1]+1]
+		copy(scr.spill[v:], dst.verts[base:top])
+		shift := v - base
+		for _, x := range merged[a:b] {
+			from, to := off[x]+shift, off[x+1]+shift
+			scr.spillOff[r] = from
+			dst.edges[r] = scr.spill[from:to:to]
+			r++
+		}
+		v += top - base
+		a = b
+	}
 }

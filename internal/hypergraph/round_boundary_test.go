@@ -92,7 +92,7 @@ func TestNextRoundParityAtScanThreshold(t *testing.T) {
 			sameEdges(t, label+" func", ref, got)
 
 			scrB := &RoundScratch{Eng: par.Engine{P: p}}
-			gotB, emptiedB := NextRoundBits(h, red, blue, scrB)
+			gotB, emptiedB := NextRoundBits(h, red, blue, scrB, nil)
 			if emptiedB != refEmptied {
 				t.Fatalf("%s: NextRoundBits emptied %d want %d", label, emptiedB, refEmptied)
 			}
@@ -140,8 +140,132 @@ func TestAssignSlotsParityAtEdgeCountThreshold(t *testing.T) {
 			func(v V) bool { return blue.Has(int(v)) })
 		for _, p := range []int{1, 3, 8} {
 			scr := &RoundScratch{Eng: par.Engine{P: p}}
-			got, _ := NextRoundBits(h, red, blue, scr)
+			got, _ := NextRoundBits(h, red, blue, scr, nil)
 			sameEdges(t, fmt.Sprintf("m=%d P=%d", m, p), ref, got)
+		}
+	}
+}
+
+// canonInstance builds an instance, with the colors of its round, whose
+// scattered round output holds exactly arena vertices before
+// duplicates are dropped, and which exercises every canonicalization
+// case. Key t has first vertex x = t and second vertex y(t); the blue
+// vertices sort between them, so
+//
+//   - {x, β_i, y(t)} shrinks onto the unchanged {x, y(t)}, and two such
+//     edges are two equal shrunk edges;
+//   - {x, β_0, y(t+1)} precedes {x, y(t)} in the input but shrinks to
+//     an edge that sorts after it (a reorder).
+//
+// The run of copies of {x, y(t)} is 2–7 long depending on t, so shard
+// boundaries of the merge land inside runs. Unchanged singletons on
+// fresh vertices fill the arena to the exact size; a few edges through
+// the red vertex die.
+func canonInstance(arena int) (h *Hypergraph, red, blue bitset.Set) {
+	const nBlue = 6
+	keys := arena / 8
+	n := 2*keys + nBlue + 2 + arena
+	b := NewBuilder(n)
+	y := func(t int) V { return V(keys + nBlue + t) }
+	r := V(2*keys + nBlue + 1)
+	filler := r + 1
+	red, blue = bitset.New(n), bitset.New(n)
+	red.Add(int(r))
+	for i := 0; i < nBlue; i++ {
+		blue.Add(keys + i)
+	}
+	used := 0
+	for t := 0; t < keys; t++ {
+		x := V(t)
+		copies, reorder, unchanged := 2+t%5, t%2 == 0, t%3 != 0
+		size := 2 * copies
+		if reorder {
+			size += 2
+		}
+		if unchanged {
+			size += 2
+		}
+		if used+size > arena {
+			break
+		}
+		used += size
+		for i := 0; i < copies; i++ {
+			b.AddEdge(x, V(keys+i), y(t))
+		}
+		if reorder {
+			b.AddEdge(x, V(keys), y(t+1))
+		}
+		if unchanged {
+			b.AddEdge(x, y(t))
+		}
+		if t%5 == 0 {
+			b.AddEdge(x, r)
+		}
+	}
+	for ; used < arena; used++ {
+		b.AddEdge(filler)
+		filler++
+	}
+	return b.MustBuild(), red, blue
+}
+
+// TestCanonicalizeParityAtThreshold pins the sequential/sharded
+// switch-over of the canonicalization (sort the shrunk edges, merge
+// with dedupe, repack), which shards once the scattered arena reaches
+// parallelScanThreshold: instances whose round output holds threshold−1,
+// threshold and threshold+1 vertices, with reordering shrunk edges,
+// shrunk edges equal to unchanged ones, equal shrunk edges and
+// duplicate runs straddling merge shard boundaries, must match the pure
+// DiscardTouching→Shrink pipeline at every degree.
+func TestCanonicalizeParityAtThreshold(t *testing.T) {
+	for _, arena := range []int{parallelScanThreshold - 1, parallelScanThreshold, parallelScanThreshold + 1} {
+		h, red, blue := canonInstance(arena)
+		c := roundCases(h, red, blue)
+		if !c.reorder || !c.dupUnchanged || !c.dupShrunk || c.arena != arena {
+			t.Fatalf("arena=%d: instance misses a case: reorder=%v dupUnchanged=%v dupShrunk=%v arena=%d",
+				arena, c.reorder, c.dupUnchanged, c.dupShrunk, c.arena)
+		}
+		isRed := func(v V) bool { return red.Has(int(v)) }
+		isBlue := func(v V) bool { return blue.Has(int(v)) }
+		ref, refEmptied := Shrink(DiscardTouching(h, isRed), isBlue)
+		for _, p := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("arena=%d P=%d", arena, p)
+			eng := par.Engine{P: p}
+			if shards := eng.NumShards(len(c.merged)); arena >= parallelScanThreshold && shards > 1 && !c.straddles(shards) {
+				t.Fatalf("%s: no duplicate run straddles the %d merge shards", label, shards)
+			}
+			scr := &RoundScratch{Eng: eng}
+			got, emptied := NextRoundBits(h, red, blue, scr, nil)
+			if emptied != refEmptied {
+				t.Fatalf("%s: NextRoundBits emptied %d want %d", label, emptied, refEmptied)
+			}
+			if len(scr.spill) == 0 {
+				t.Fatalf("%s: canonicalization did not run", label)
+			}
+			sameEdges(t, label+" bits", ref, got)
+			sameArena(t, label+" bits", got)
+
+			scrF := &RoundScratch{Eng: eng}
+			gotF, emptiedF := NextRound(h, isRed, isBlue, scrF)
+			if emptiedF != refEmptied {
+				t.Fatalf("%s: NextRound emptied %d want %d", label, emptiedF, refEmptied)
+			}
+			sameEdges(t, label+" func", ref, gotF)
+		}
+	}
+}
+
+// sameArena checks that h's edge headers, offsets and arena agree: the
+// repack writes all three.
+func sameArena(t *testing.T, label string, h *Hypergraph) {
+	t.Helper()
+	if len(h.off) != len(h.edges)+1 || int(h.off[len(h.edges)]) != len(h.verts) {
+		t.Fatalf("%s: %d offsets, last %d, for %d edges over %d vertices",
+			label, len(h.off), h.off[len(h.off)-1], len(h.edges), len(h.verts))
+	}
+	for i, e := range h.edges {
+		if !equalEdge(e, h.verts[h.off[i]:h.off[i+1]]) || cap(e) != len(e) {
+			t.Fatalf("%s: edge %d header %v disagrees with the arena", label, i, e)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package hypergraph
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -131,10 +135,10 @@ func TestInduceIntoMatchesInduced(t *testing.T) {
 	}
 }
 
-// TestNextRoundZeroAllocSteadyState pins the tentpole claim: once the
-// scratch arenas are warm and no re-canonicalization is needed (a
-// red-only round preserves canonical order), a fused round performs
-// zero heap allocations.
+// TestNextRoundZeroAllocSteadyState pins the sequential path's claim:
+// once the scratch arenas are warm, a fused round performs zero heap
+// allocations — a red-only round, which keeps canonical order, and a
+// shrinking round that has to sort, merge and repack alike.
 func TestNextRoundZeroAllocSteadyState(t *testing.T) {
 	st := rng.New(7)
 	h := RandomMixed(st, 400, 800, 2, 5)
@@ -167,6 +171,99 @@ func TestNextRoundZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state InduceInto allocated %v times per round, want 0", allocs)
 	}
+
+	// A shrinking round that reorders edges and creates duplicates runs
+	// the whole canonicalization (sort, merge, repack); warm, it must
+	// not allocate either. Vertex 3 is blue, so {3, 10, 11} shrinks onto
+	// the unchanged {10, 11}.
+	b := NewBuilder(h.N())
+	for _, e := range h.Edges() {
+		b.AddEdge(e...)
+	}
+	hs := b.AddEdge(10, 11).AddEdge(3, 10, 11).MustBuild()
+	redBits, blueBits := bitset.New(h.N()), bitset.New(h.N())
+	for v := 0; v < h.N(); v += 17 {
+		redBits.Add(v)
+	}
+	for v := 3; v < h.N(); v += 5 {
+		blueBits.Add(v)
+	}
+	c := roundCases(hs, redBits, blueBits)
+	if !c.reorder || !c.dupUnchanged || !c.dupShrunk {
+		t.Fatalf("blue set does not exercise canonicalization: %+v", c)
+	}
+	scrP1 := &RoundScratch{Eng: par.Engine{P: 1}}
+	NextRoundBits(hs, redBits, blueBits, scrP1, nil)
+	allocs = testing.AllocsPerRun(20, func() {
+		NextRoundBits(hs, redBits, blueBits, scrP1, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state shrinking NextRoundBits allocated %v times per round, want 0", allocs)
+	}
+}
+
+// canonCases records which canonicalization cases one round exercises.
+type canonCases struct {
+	reorder      bool   // a shrunk edge lands before a smaller one
+	dupUnchanged bool   // a shrunk edge equals an unchanged edge
+	dupShrunk    bool   // two shrunk edges are equal
+	merged       []Edge // surviving edges, sorted, duplicates included
+	arena        int    // their total size
+}
+
+// roundCases classifies, from the pure definitions, what the round
+// (red, blue) does to h's surviving edges before deduplication.
+func roundCases(h *Hypergraph, red, blue bitset.Set) canonCases {
+	var c canonCases
+	unchanged := map[string]int{}
+	shrunk := map[string]int{}
+	var prev Edge
+	for _, e := range h.Edges() {
+		var out Edge
+		dead := false
+		for _, v := range e {
+			switch {
+			case red.Has(int(v)):
+				dead = true
+			case !blue.Has(int(v)):
+				out = append(out, v)
+			}
+		}
+		if dead || len(out) == 0 {
+			continue
+		}
+		if prev != nil && lessEdge(out, prev) {
+			c.reorder = true
+		}
+		prev = out
+		key := fmt.Sprint(out)
+		if len(out) < len(e) {
+			shrunk[key]++
+		} else {
+			unchanged[key]++
+		}
+		c.merged = append(c.merged, out)
+		c.arena += len(out)
+	}
+	for key, k := range shrunk {
+		c.dupUnchanged = c.dupUnchanged || unchanged[key] > 0
+		c.dupShrunk = c.dupShrunk || k > 1
+	}
+	sort.Slice(c.merged, func(i, j int) bool { return lessEdge(c.merged[i], c.merged[j]) })
+	return c
+}
+
+// straddles reports whether a run of equal edges crosses a boundary of
+// the (len(merged), shards) block partition the sharded merge uses.
+func (c canonCases) straddles(shards int) bool {
+	L := len(c.merged)
+	chunk := (L + shards - 1) / shards
+	for b := chunk; b < L; b += chunk {
+		if equalEdge(c.merged[b-1], c.merged[b]) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestWorkingAndFusedAgainstSeedReference is the differential test

@@ -290,11 +290,10 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		// scratch-buffered pass. (A fully-accepted edge cannot touch a
 		// red vertex — each vertex gets one color — so the emptied count
 		// matches the unfused Shrink→DiscardTouching order.)
-		next, emptied := hypergraph.NextRoundBits(cur, redBits, inISBits, scratch)
+		next, emptied := hypergraph.NextRoundBits(cur, redBits, inISBits, scratch, cost)
 		if emptied > 0 {
 			return nil, fmt.Errorf("kuw: %d edges fully accepted at round %d (independence broken)", emptied, st.Round)
 		}
-		par.ChargeStep(cost, cur.M())
 		cur = next
 
 		if opts.CollectStats {

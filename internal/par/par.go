@@ -644,6 +644,16 @@ func ChargeStep(c *Cost, n int) { c.Charge(int64(n), 1) }
 // inline (e.g. a bitset population count standing in for a Count).
 func ChargeReduce(c *Cost, n int) { c.Charge(int64(n), log2Ceil(n)) }
 
+// ChargeSortMerge records sorting k items and merging them into a
+// sorted list of n: k·⌈log₂ k⌉ + n work and ⌈log₂ k⌉ + ⌈log₂ n⌉ depth.
+// The sort term is the idealized EREW bound of Cole's merge sort, not
+// the depth of a sort built from pairwise merge levels, each with its
+// own co-rank search (Θ(log² k)); the merge term is one Merge Path
+// merge, whose co-rank searches are the logarithmic step.
+func ChargeSortMerge(c *Cost, k, n int) {
+	c.Charge(int64(k)*log2Ceil(k)+int64(n), log2Ceil(k)+log2Ceil(n))
+}
+
 // ChargeAux records an arbitrary work/depth charge for an operation
 // performed outside the primitives (e.g. hash-table or degree-table
 // builds whose PRAM realization is a known sorting/hashing routine).

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -188,6 +189,18 @@ func TestHTTPSolveErrors(t *testing.T) {
 	vresp.Body.Close()
 	if vresp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("huge-n verify: %d, want 400", vresp.StatusCode)
+	}
+	// A vertex id of 2^32+1 is out of range for n=5; it must be refused,
+	// not narrowed to vertex 1 and solved, in either format.
+	if got := post("", "hypergraph 5 1\n4294967297 2\n", ContentTypeText); got != http.StatusBadRequest {
+		t.Fatalf("aliasing text id: %d, want 400", got)
+	}
+	bin := []byte("HGB1")
+	for _, u := range []uint64{5, 1, 2, 1<<32 + 1, 1} { // n, m, edge size, first id, gap
+		bin = binary.AppendUvarint(bin, u)
+	}
+	if got := post("", string(bin), ContentTypeBinary); got != http.StatusBadRequest {
+		t.Fatalf("aliasing binary id: %d, want 400", got)
 	}
 }
 
