@@ -235,18 +235,11 @@ func UnionShards(eng par.Engine, dst Set, n, m, shards int, pool *[]Set, body fu
 		}
 		body(local, lo, hi)
 	})
-	// Merge only the shards whose block is non-empty (ForShards'
-	// partition is ceil(m/shards)-sized blocks, so these are exactly
-	// the invoked ones): a pooled set of an uninvoked trailing shard
-	// still holds a previous call's bits and must not leak in.
-	chunk := (m + shards - 1) / shards
-	if chunk < 1 {
-		chunk = 1
-	}
-	invoked := (m + chunk - 1) / chunk
-	if invoked > shards {
-		invoked = shards
-	}
+	// Merge only the shards whose block is non-empty (exactly the
+	// invoked ones): a pooled set of an uninvoked trailing shard still
+	// holds a previous call's bits and must not leak in.
+	chunk := par.BlockLen(m, shards)
+	invoked := min((m+chunk-1)/chunk, shards)
 	eng.ForBlocked(nil, len(dst), func(lo, hi int) {
 		for s := 0; s < invoked; s++ {
 			if locals[s] != nil {

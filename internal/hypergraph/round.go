@@ -83,19 +83,19 @@ func (b *csrBuf) finish(n, dim int) *Hypergraph {
 }
 
 // RoundScratch holds the reusable arenas of the fused round pipeline.
-// NextRound double-buffers through ring: each call writes the buffer
-// the input does not occupy, so the result of call k is valid exactly
-// until call k+2 — callers thread `cur = NextRound(cur, …)` and must
-// not retain older rounds (Clone what must survive). InduceInto has a
-// dedicated buffer, overwritten by the next InduceInto only, so an
-// induced sub-hypergraph stays valid across interleaved NextRound
-// calls. The zero value is ready to use; a RoundScratch must not be
-// shared between concurrent solvers.
+// NextRoundBits double-buffers through ring: each call writes the
+// buffer the input does not occupy, so the result of call k is valid
+// exactly until call k+2 — callers thread `cur = NextRoundBits(cur, …)`
+// and must not retain older rounds (Clone what must survive).
+// InduceIntoBits has a dedicated buffer, overwritten by the next
+// InduceIntoBits only, so an induced sub-hypergraph stays valid across
+// interleaved NextRoundBits calls. The zero value is ready to use; a
+// RoundScratch must not be shared between concurrent solvers.
 //
 // Eng bounds the parallelism of the sharded passes (zero value = whole
-// machine); outputs are bit-identical for any engine, so Eng is purely
-// a scheduling knob — the service sets it to the degree the job was
-// granted.
+// machine, on the shared pool); outputs are bit-identical for any
+// engine, so Eng is purely a scheduling knob — the service sets it to
+// the degree the job was granted, on its own pool.
 type RoundScratch struct {
 	Eng par.Engine
 
@@ -160,8 +160,8 @@ func (scr *RoundScratch) Poison() {
 	}
 }
 
-// target returns the ring buffer NextRound may write: the one cur does
-// not occupy.
+// target returns the ring buffer NextRoundBits may write: the one cur
+// does not occupy.
 func (scr *RoundScratch) target(cur *Hypergraph) *csrBuf {
 	idx := scr.ringIdx
 	if cur == &scr.ring[idx].hg {
@@ -304,27 +304,13 @@ func (scr *RoundScratch) buildHeaders(dst *csrBuf, parallel bool) {
 	}
 }
 
-// InduceInto is Induced on scratch storage: it returns the
-// sub-hypergraph of h restricted to edges fully inside {v : in(v)},
-// built in the scratch's dedicated sample buffer. The result is valid
-// until the next InduceInto call on the same scratch and must not be
-// retained beyond it. h must not itself be the previous InduceInto
-// result.
-func InduceInto(h *Hypergraph, in func(V) bool, scr *RoundScratch) *Hypergraph {
-	m := len(h.edges)
-	scr.growClassify(m)
-	keep := scr.keep
-	if len(h.verts) >= parallelScanThreshold {
-		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { induceClassify(h, in, keep, lo, hi) })
-	} else {
-		induceClassify(h, in, keep, 0, m)
-	}
-	return scr.induceFinish(h)
-}
-
-// InduceIntoBits is InduceInto with the induced set given as a bitset:
-// the classification pass tests membership with branch-free word
-// probes instead of an indirect call per vertex.
+// InduceIntoBits is Induced on scratch storage, with the induced set
+// given as a bitset: it returns the sub-hypergraph of h restricted to
+// edges fully inside in, built in the scratch's dedicated sample
+// buffer. The result is valid until the next InduceIntoBits call on
+// the same scratch and must not be retained beyond it. h must not
+// itself be the previous InduceIntoBits result. Induction never
+// shrinks an edge, so the result is canonical as scattered.
 func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph {
 	m := len(h.edges)
 	scr.growClassify(m)
@@ -334,19 +320,11 @@ func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph
 	} else {
 		induceClassifyBits(h, in, keep, 0, m)
 	}
-	return scr.induceFinish(h)
-}
-
-// induceFinish runs the shared slot-assignment and scatter phases of
-// InduceInto/InduceIntoBits. Induction never shrinks an edge, so the
-// result is canonical as scattered.
-func (scr *RoundScratch) induceFinish(h *Hypergraph) *Hypergraph {
-	m := len(h.edges)
 	tot := scr.assignSlots(h)
 	outEdges, outVerts := int(tot.edges), int(tot.verts)
 	dst := &scr.sample
 	dst.grow(outVerts, outEdges)
-	keep, pos := scr.keep, scr.pos
+	pos := scr.pos
 	parallel := outVerts >= parallelScanThreshold
 	if parallel {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { induceScatter(h, keep, pos, dst, lo, hi) })
@@ -358,22 +336,8 @@ func (scr *RoundScratch) induceFinish(h *Hypergraph) *Hypergraph {
 	return dst.finish(h.n, int(tot.dim))
 }
 
-// induceClassify marks edges [lo, hi): keep[i] = the edge's size if it
-// lies fully inside the induced set, else -1.
-func induceClassify(h *Hypergraph, in func(V) bool, keep []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e := h.edges[i]
-		keep[i] = int32(len(e))
-		for _, v := range e {
-			if !in(v) {
-				keep[i] = -1
-				break
-			}
-		}
-	}
-}
-
-// induceClassifyBits is induceClassify against a bitset.
+// induceClassifyBits marks edges [lo, hi): keep[i] = the edge's size if
+// it lies fully inside the induced set, else -1.
 func induceClassifyBits(h *Hypergraph, in bitset.Set, keep []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		e := h.edges[i]
@@ -399,72 +363,44 @@ func induceScatter(h *Hypergraph, keep, pos []int32, dst *csrBuf, lo, hi int) {
 	}
 }
 
-// NextRound applies one fused solver round to cur: edges touching a red
-// vertex die (DiscardTouching), surviving edges shrink by the blue
+// NextRoundBits applies one fused solver round to cur: edges touching a
+// red vertex die (DiscardTouching), surviving edges shrink by the blue
 // vertices (Shrink), and the result is restored to canonical order — in
-// passes over the CSR arena into the scratch's other ring buffer. The
-// second return value counts edges that became empty (fully blue), an
-// independence violation for a correct pipeline.
+// passes over the CSR arena into the scratch's other ring buffer. A nil
+// red set means no vertex is red (the BL stages); blue must be non-nil
+// and disjoint from red. The second return value counts edges that
+// became empty (fully blue), an independence violation for a correct
+// pipeline. It charges the round's idealized PRAM cost to c: one
+// elementwise step for classify and scatter, plus the sort and merge of
+// canonicalization when it runs. The sequential path calls every pass
+// directly, so a warm round allocates nothing.
 //
 // The returned hypergraph occupies scratch storage: it is valid until
-// the next-but-one NextRound call on the same scratch (double
+// the next-but-one NextRoundBits call on the same scratch (double
 // buffering), so callers thread it as the next round's cur and never
-// retain older rounds. isRed and isBlue must be disjoint.
-func NextRound(cur *Hypergraph, isRed, isBlue func(V) bool, scr *RoundScratch) (*Hypergraph, int) {
+// retain older rounds.
+func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Hypergraph, int) {
 	m := len(cur.edges)
 	scr.growClassify(m)
 	keep := scr.keep
 	// Pass 1: classify every edge — dead on a red vertex, else its
 	// post-shrink size (0 = emptied).
 	if len(cur.verts) >= parallelScanThreshold {
-		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundClassify(cur, isRed, isBlue, keep, lo, hi) })
-	} else {
-		roundClassify(cur, isRed, isBlue, keep, 0, m)
-	}
-	return scr.roundFinish(cur, isBlue, nil, nil)
-}
-
-// NextRoundBits is NextRound with the red and blue sets given as
-// bitsets; a nil red set means no vertex is red (the BL stages), blue
-// must be non-nil. The classification and scatter passes test
-// membership with word probes. It charges the round's idealized PRAM
-// cost to c: one elementwise step for classify and scatter, plus the
-// sort and merge of canonicalization when it runs.
-func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Hypergraph, int) {
-	m := len(cur.edges)
-	scr.growClassify(m)
-	keep := scr.keep
-	if len(cur.verts) >= parallelScanThreshold {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundClassifyBits(cur, red, blue, keep, lo, hi) })
 	} else {
 		roundClassifyBits(cur, red, blue, keep, 0, m)
 	}
-	return scr.roundFinish(cur, nil, blue, c)
-}
-
-// roundFinish runs the shared slot-assignment, scatter and
-// canonicalization phases of NextRound/NextRoundBits and charges the
-// round to c. Exactly one of isBlue and blue is non-nil and selects the
-// scatter flavor; the sequential path calls every pass directly so a
-// warm round allocates nothing.
-func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue bitset.Set, c *par.Cost) (*Hypergraph, int) {
-	m := len(cur.edges)
 	tot := scr.assignSlots(cur)
 	outEdges, outVerts, shrunk := int(tot.edges), int(tot.verts), int(tot.shrunk)
 	dst := scr.target(cur)
 	dst.grow(outVerts, outEdges)
-	keep, pos := scr.keep, scr.pos
+	pos := scr.pos
 	parallel := outVerts >= parallelScanThreshold
 	// Pass 2: scatter surviving vertices.
-	switch {
-	case parallel && blue != nil:
+	if parallel {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundScatterBits(cur, blue, keep, pos, dst, lo, hi) })
-	case parallel:
-		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundScatter(cur, isBlue, keep, pos, dst, lo, hi) })
-	case blue != nil:
+	} else {
 		roundScatterBits(cur, blue, keep, pos, dst, 0, m)
-	default:
-		roundScatter(cur, isBlue, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
 	par.ChargeStep(c, m)
@@ -480,26 +416,9 @@ func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue 
 	return dst.finish(cur.n, int(tot.dim)), int(tot.emptied)
 }
 
-// roundClassify computes, for each edge of [lo, hi), -1 if it touches a
-// red vertex, else its post-shrink size (0 = would become empty).
-func roundClassify(cur *Hypergraph, isRed, isBlue func(V) bool, keep []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		size := int32(0)
-		for _, v := range cur.edges[i] {
-			if isRed(v) {
-				size = -1
-				break
-			}
-			if !isBlue(v) {
-				size++
-			}
-		}
-		keep[i] = size
-	}
-}
-
-// roundClassifyBits is roundClassify against bitsets; a nil red set
-// skips the red test entirely.
+// roundClassifyBits computes, for each edge of [lo, hi), -1 if it
+// touches a red vertex, else its post-shrink size (0 = would become
+// empty); a nil red set skips the red test entirely.
 func roundClassifyBits(cur *Hypergraph, red, blue bitset.Set, keep []int32, lo, hi int) {
 	if red == nil {
 		for i := lo; i < hi; i++ {
@@ -528,25 +447,8 @@ func roundClassifyBits(cur *Hypergraph, red, blue bitset.Set, keep []int32, lo, 
 	}
 }
 
-// roundScatter writes the non-blue vertices of surviving edges of
+// roundScatterBits writes the non-blue vertices of surviving edges of
 // [lo, hi) into their assigned arena slots.
-func roundScatter(cur *Hypergraph, isBlue func(V) bool, keep, pos []int32, dst *csrBuf, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if keep[i] < 0 {
-			continue
-		}
-		dst.off[keep[i]] = pos[i]
-		w := pos[i]
-		for _, v := range cur.edges[i] {
-			if !isBlue(v) {
-				dst.verts[w] = v
-				w++
-			}
-		}
-	}
-}
-
-// roundScatterBits is roundScatter against a blue bitset.
 func roundScatterBits(cur *Hypergraph, blue bitset.Set, keep, pos []int32, dst *csrBuf, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if keep[i] < 0 {
@@ -637,7 +539,8 @@ func (scr *RoundScratch) sortShrunk(dst *csrBuf, m, k int, parallel bool) []int3
 	}
 	scr.Eng.ForShardsWork(nil, k, lg, shards, func(_, lo, hi int) { sortByEdge(dst, idx[lo:hi]) })
 	src, tmp := idx, scr.pos[m-k:m]
-	for width := (k + shards - 1) / shards; width < k; width *= 2 {
+	// The first runs are exactly the blocks ForShardsWork sorted.
+	for width := par.BlockLen(k, shards); width < k; width *= 2 {
 		in, out := src, tmp
 		scr.Eng.ForShards(nil, k, shards, func(_, lo, hi int) { mergeRuns(dst, in, out, width, lo, hi) })
 		src, tmp = tmp, src

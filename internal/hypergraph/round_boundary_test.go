@@ -12,8 +12,7 @@ import (
 // parallelScanThreshold boundary: instances whose CSR arena holds
 // threshold−1, threshold, and threshold+1 vertices take different code
 // paths (the classify/scatter passes shard at ≥ threshold), and the
-// outputs must be identical on both sides, for the func- and
-// bitset-flavoured transforms, at every engine degree.
+// outputs must be identical on both sides, at every engine degree.
 
 // boundaryInstance builds a hypergraph whose arena holds exactly
 // arenaLen vertices: size-2 edges over a large vertex universe, plus
@@ -75,28 +74,18 @@ func TestNextRoundParityAtScanThreshold(t *testing.T) {
 	for _, arena := range []int{parallelScanThreshold - 1, parallelScanThreshold, parallelScanThreshold + 1} {
 		h := boundaryInstance(arena)
 		red, blue := boundaryColors(h.N())
-		isRed := func(v V) bool { return red.Has(int(v)) }
-		isBlue := func(v V) bool { return blue.Has(int(v)) }
 
 		// Pure-pipeline reference.
-		ref, refEmptied := Shrink(DiscardTouching(h, isRed), isBlue)
+		ref, refEmptied := Shrink(DiscardTouching(h, has(red)), has(blue))
 
 		for _, p := range []int{1, 2, 8} {
 			label := fmt.Sprintf("arena=%d P=%d", arena, p)
-
 			scr := &RoundScratch{Eng: par.Engine{P: p}}
-			got, emptied := NextRound(h, isRed, isBlue, scr)
+			got, emptied := NextRoundBits(h, red, blue, scr, nil)
 			if emptied != refEmptied {
-				t.Fatalf("%s: NextRound emptied %d want %d", label, emptied, refEmptied)
+				t.Fatalf("%s: NextRoundBits emptied %d want %d", label, emptied, refEmptied)
 			}
-			sameEdges(t, label+" func", ref, got)
-
-			scrB := &RoundScratch{Eng: par.Engine{P: p}}
-			gotB, emptiedB := NextRoundBits(h, red, blue, scrB, nil)
-			if emptiedB != refEmptied {
-				t.Fatalf("%s: NextRoundBits emptied %d want %d", label, emptiedB, refEmptied)
-			}
-			sameEdges(t, label+" bits", ref, gotB)
+			sameEdges(t, label, ref, got)
 		}
 	}
 }
@@ -112,15 +101,12 @@ func TestInduceParityAtScanThreshold(t *testing.T) {
 				in.Add(v)
 			}
 		}
-		pred := func(v V) bool { return in.Has(int(v)) }
-		ref := Induced(h, pred)
+		ref := Induced(h, has(in))
 
 		for _, p := range []int{1, 2, 8} {
 			label := fmt.Sprintf("arena=%d P=%d", arena, p)
 			scr := &RoundScratch{Eng: par.Engine{P: p}}
-			sameEdges(t, label+" func", ref, InduceInto(h, pred, scr))
-			scrB := &RoundScratch{Eng: par.Engine{P: p}}
-			sameEdges(t, label+" bits", ref, InduceIntoBits(h, in, scrB))
+			sameEdges(t, label, ref, InduceIntoBits(h, in, scr))
 		}
 	}
 }
@@ -136,8 +122,7 @@ func TestAssignSlotsParityAtEdgeCountThreshold(t *testing.T) {
 			t.Fatalf("instance has %d edges, want %d", h.M(), m)
 		}
 		red, blue := boundaryColors(h.N())
-		ref, _ := Shrink(DiscardTouching(h, func(v V) bool { return red.Has(int(v)) }),
-			func(v V) bool { return blue.Has(int(v)) })
+		ref, _ := Shrink(DiscardTouching(h, has(red)), has(blue))
 		for _, p := range []int{1, 3, 8} {
 			scr := &RoundScratch{Eng: par.Engine{P: p}}
 			got, _ := NextRoundBits(h, red, blue, scr, nil)
@@ -225,9 +210,7 @@ func TestCanonicalizeParityAtThreshold(t *testing.T) {
 			t.Fatalf("arena=%d: instance misses a case: reorder=%v dupUnchanged=%v dupShrunk=%v arena=%d",
 				arena, c.reorder, c.dupUnchanged, c.dupShrunk, c.arena)
 		}
-		isRed := func(v V) bool { return red.Has(int(v)) }
-		isBlue := func(v V) bool { return blue.Has(int(v)) }
-		ref, refEmptied := Shrink(DiscardTouching(h, isRed), isBlue)
+		ref, refEmptied := Shrink(DiscardTouching(h, has(red)), has(blue))
 		for _, p := range []int{1, 2, 3, 8} {
 			label := fmt.Sprintf("arena=%d P=%d", arena, p)
 			eng := par.Engine{P: p}
@@ -242,15 +225,8 @@ func TestCanonicalizeParityAtThreshold(t *testing.T) {
 			if len(scr.spill) == 0 {
 				t.Fatalf("%s: canonicalization did not run", label)
 			}
-			sameEdges(t, label+" bits", ref, got)
-			sameArena(t, label+" bits", got)
-
-			scrF := &RoundScratch{Eng: eng}
-			gotF, emptiedF := NextRound(h, isRed, isBlue, scrF)
-			if emptiedF != refEmptied {
-				t.Fatalf("%s: NextRound emptied %d want %d", label, emptiedF, refEmptied)
-			}
-			sameEdges(t, label+" func", ref, gotF)
+			sameEdges(t, label, ref, got)
+			sameArena(t, label, got)
 		}
 	}
 }

@@ -39,20 +39,22 @@ func randomRoundInstance(st *rng.Stream) *Hypergraph {
 	return b.MustBuild()
 }
 
-// randomColors draws disjoint red/blue masks over the universe.
-func randomColors(st *rng.Stream, n int) (isRed, isBlue []bool) {
-	isRed = make([]bool, n)
-	isBlue = make([]bool, n)
+// randomColors draws disjoint red/blue vertex sets over the universe.
+func randomColors(st *rng.Stream, n int) (red, blue bitset.Set) {
+	red, blue = bitset.New(n), bitset.New(n)
 	for v := 0; v < n; v++ {
 		switch st.Intn(5) {
 		case 0:
-			isBlue[v] = true
+			blue.Add(v)
 		case 1:
-			isRed[v] = true
+			red.Add(v)
 		}
 	}
 	return
 }
+
+// has is set membership as the predicate the pure pipeline takes.
+func has(set bitset.Set) func(V) bool { return func(v V) bool { return set.Has(int(v)) } }
 
 func requireSameHypergraph(t *testing.T, seed, round int, got, want *Hypergraph) {
 	t.Helper()
@@ -71,9 +73,9 @@ func requireSameHypergraph(t *testing.T, seed, round int, got, want *Hypergraph)
 // TestNextRoundMatchesPurePipeline is the acceptance property for the
 // fused CSR round: on ≥100 fuzzed instances (mixed dimensions,
 // singleton edges, superset structure), chained over several rounds of
-// one reused scratch, NextRound produces exactly the canonical edge set
-// of the seed's pure DiscardTouching → Shrink pipeline, with the same
-// emptied count.
+// one reused scratch, NextRoundBits produces exactly the canonical edge
+// set of the seed's pure DiscardTouching → Shrink pipeline, with the
+// same emptied count.
 func TestNextRoundMatchesPurePipeline(t *testing.T) {
 	s := rng.New(42)
 	scr := &RoundScratch{} // reused across all instances: exercises buffer recycling
@@ -84,14 +86,12 @@ func TestNextRoundMatchesPurePipeline(t *testing.T) {
 		cur := h
 		ref := h
 		for round := 0; round < 4; round++ {
-			isRed, isBlue := randomColors(st, h.N())
-			red := func(v V) bool { return isRed[v] }
-			blue := func(v V) bool { return isBlue[v] }
+			red, blue := randomColors(st, h.N())
 
-			wantNext := DiscardTouching(ref, red)
-			wantNext, wantEmptied := Shrink(wantNext, blue)
+			wantNext := DiscardTouching(ref, has(red))
+			wantNext, wantEmptied := Shrink(wantNext, has(blue))
 
-			gotNext, gotEmptied := NextRound(cur, red, blue, scr)
+			gotNext, gotEmptied := NextRoundBits(cur, red, blue, scr, nil)
 			if gotEmptied != wantEmptied {
 				t.Fatalf("seed %d round %d: emptied %d, want %d", seed, round, gotEmptied, wantEmptied)
 			}
@@ -104,9 +104,44 @@ func TestNextRoundMatchesPurePipeline(t *testing.T) {
 	}
 }
 
+// TestNextRoundNilRedMatchesShrink pins the round BL runs, with no red
+// set: NextRoundBits(cur, nil, blue, …) must equal Shrink alone, chained
+// over rounds of one reused scratch on fuzzed instances, and on an
+// instance above the scan threshold at degrees 1, 2 and 8.
+func TestNextRoundNilRedMatchesShrink(t *testing.T) {
+	s := rng.New(46)
+	scr := &RoundScratch{}
+	for seed := 0; seed < 120; seed++ {
+		st := s.Child(uint64(seed))
+		h := randomRoundInstance(st)
+		cur, ref := h, h
+		for round := 0; round < 4 && ref.M() > 0; round++ {
+			_, blue := randomColors(st, h.N())
+			want, wantEmptied := Shrink(ref, has(blue))
+			got, gotEmptied := NextRoundBits(cur, nil, blue, scr, nil)
+			if gotEmptied != wantEmptied {
+				t.Fatalf("seed %d round %d: emptied %d, want %d", seed, round, gotEmptied, wantEmptied)
+			}
+			requireSameHypergraph(t, seed, round, got, want)
+			cur, ref = got, want
+		}
+	}
+	st := s.Child(1000)
+	h := RandomMixed(st, 4000, 8000, 2, 6)
+	_, blue := randomColors(st, h.N())
+	want, wantEmptied := Shrink(h, has(blue))
+	for _, p := range []int{1, 2, 8} {
+		got, gotEmptied := NextRoundBits(h, nil, blue, &RoundScratch{Eng: par.Engine{P: p}}, nil)
+		if gotEmptied != wantEmptied {
+			t.Fatalf("P=%d: emptied %d, want %d", p, gotEmptied, wantEmptied)
+		}
+		sameEdges(t, fmt.Sprintf("P=%d", p), want, got)
+	}
+}
+
 // TestInduceIntoMatchesInduced checks the scratch-buffered induction
-// against the pure Induced, including interleaving with NextRound on
-// the same scratch (the SBL loop's access pattern).
+// against the pure Induced, including interleaving with NextRoundBits
+// on the same scratch (the SBL loop's access pattern).
 func TestInduceIntoMatchesInduced(t *testing.T) {
 	s := rng.New(43)
 	scr := &RoundScratch{}
@@ -115,20 +150,21 @@ func TestInduceIntoMatchesInduced(t *testing.T) {
 		h := randomRoundInstance(st)
 		cur := h
 		for round := 0; round < 3 && cur.M() > 0; round++ {
-			in := make([]bool, h.N())
-			for v := range in {
-				in[v] = st.Intn(3) != 0
+			in := bitset.New(h.N())
+			for v := 0; v < h.N(); v++ {
+				if st.Intn(3) != 0 {
+					in.Add(v)
+				}
 			}
-			want := Induced(cur, func(v V) bool { return in[v] })
-			got := InduceInto(cur, func(v V) bool { return in[v] }, scr)
+			want := Induced(cur, has(in))
+			got := InduceIntoBits(cur, in, scr)
 			requireSameHypergraph(t, seed, round, got, want)
 
 			// Advance cur through the fused round to interleave the two
 			// scratch consumers like the SBL loop does; the sub result
-			// must survive the NextRound call (dedicated buffer).
-			isRed, isBlue := randomColors(st, h.N())
-			next, _ := NextRound(cur, func(v V) bool { return isRed[v] },
-				func(v V) bool { return isBlue[v] }, scr)
+			// must survive the NextRoundBits call (dedicated buffer).
+			red, blue := randomColors(st, h.N())
+			next, _ := NextRoundBits(cur, red, blue, scr, nil)
 			requireSameHypergraph(t, seed, round, got, want) // still intact
 			cur = next
 		}
@@ -143,33 +179,32 @@ func TestNextRoundZeroAllocSteadyState(t *testing.T) {
 	st := rng.New(7)
 	h := RandomMixed(st, 400, 800, 2, 5)
 	scr := &RoundScratch{}
-	isRed := make([]bool, h.N())
+	red, blue := bitset.New(h.N()), bitset.New(h.N())
 	for v := 0; v < h.N(); v += 17 {
-		isRed[v] = true
+		red.Add(v)
 	}
-	red := func(v V) bool { return isRed[v] }
-	blue := func(v V) bool { return false }
 	// Warm-up: size the arenas.
-	if next, _ := NextRound(h, red, blue, scr); next.M() == 0 {
+	if next, _ := NextRoundBits(h, red, blue, scr, nil); next.M() == 0 {
 		t.Fatal("degenerate warm-up instance")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		NextRound(h, red, blue, scr)
+		NextRoundBits(h, red, blue, scr, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state NextRound allocated %v times per round, want 0", allocs)
+		t.Fatalf("steady-state NextRoundBits allocated %v times per round, want 0", allocs)
 	}
-	in := make([]bool, h.N())
-	for v := range in {
-		in[v] = v%3 != 0
+	in := bitset.New(h.N())
+	for v := 0; v < h.N(); v++ {
+		if v%3 != 0 {
+			in.Add(v)
+		}
 	}
-	inF := func(v V) bool { return in[v] }
-	InduceInto(h, inF, scr)
+	InduceIntoBits(h, in, scr)
 	allocs = testing.AllocsPerRun(20, func() {
-		InduceInto(h, inF, scr)
+		InduceIntoBits(h, in, scr)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state InduceInto allocated %v times per round, want 0", allocs)
+		t.Fatalf("steady-state InduceIntoBits allocated %v times per round, want 0", allocs)
 	}
 
 	// A shrinking round that reorders edges and creates duplicates runs
@@ -257,7 +292,7 @@ func roundCases(h *Hypergraph, red, blue bitset.Set) canonCases {
 // the (len(merged), shards) block partition the sharded merge uses.
 func (c canonCases) straddles(shards int) bool {
 	L := len(c.merged)
-	chunk := (L + shards - 1) / shards
+	chunk := par.BlockLen(L, shards)
 	for b := chunk; b < L; b += chunk {
 		if equalEdge(c.merged[b-1], c.merged[b]) {
 			return true
@@ -277,21 +312,20 @@ func TestWorkingAndFusedAgainstSeedReference(t *testing.T) {
 		st := s.Child(uint64(seed))
 		h := randomRoundInstance(st)
 		var blue, red []V
-		isRed := make([]bool, h.N())
-		isBlue := make([]bool, h.N())
+		redBits, blueBits := bitset.New(h.N()), bitset.New(h.N())
 		for v := 0; v < h.N(); v++ {
 			switch st.Intn(5) {
 			case 0:
 				blue = append(blue, V(v))
-				isBlue[v] = true
+				blueBits.Add(v)
 			case 1:
 				red = append(red, V(v))
-				isRed[v] = true
+				redBits.Add(v)
 			}
 		}
 		norm := RemoveSupersets(h)
-		want := DiscardTouching(norm, func(v V) bool { return isRed[v] })
-		want, wantEmptied := Shrink(want, func(v V) bool { return isBlue[v] })
+		want := DiscardTouching(norm, has(redBits))
+		want, wantEmptied := Shrink(want, has(blueBits))
 		want = RemoveSupersets(want)
 
 		w := NewWorking(h)
@@ -301,8 +335,7 @@ func TestWorkingAndFusedAgainstSeedReference(t *testing.T) {
 		}
 		requireSameHypergraph(t, seed, 0, w.Snapshot(), want)
 
-		fused, fusedEmptied := NextRound(norm, func(v V) bool { return isRed[v] },
-			func(v V) bool { return isBlue[v] }, scr)
+		fused, fusedEmptied := NextRoundBits(norm, redBits, blueBits, scr, nil)
 		if fusedEmptied != wantEmptied {
 			t.Fatalf("seed %d: fused emptied %d, want %d", seed, fusedEmptied, wantEmptied)
 		}
@@ -325,24 +358,24 @@ func TestNextRoundParallelShards(t *testing.T) {
 		if len(h.verts) < parallelScanThreshold {
 			t.Fatalf("instance too small to exercise the parallel path: %d", len(h.verts))
 		}
-		isRed, isBlue := randomColors(st, h.N())
-		red := func(v V) bool { return isRed[v] }
-		blue := func(v V) bool { return isBlue[v] }
+		red, blue := randomColors(st, h.N())
 
-		want := DiscardTouching(h, red)
-		want, wantEmptied := Shrink(want, blue)
-		got, gotEmptied := NextRound(h, red, blue, scr)
+		want := DiscardTouching(h, has(red))
+		want, wantEmptied := Shrink(want, has(blue))
+		got, gotEmptied := NextRoundBits(h, red, blue, scr, nil)
 		if gotEmptied != wantEmptied {
 			t.Fatalf("seed %d: emptied %d, want %d", seed, gotEmptied, wantEmptied)
 		}
 		requireSameHypergraph(t, seed, 0, got, want)
 
-		in := make([]bool, h.N())
-		for v := range in {
-			in[v] = st.Intn(4) != 0
+		in := bitset.New(h.N())
+		for v := 0; v < h.N(); v++ {
+			if st.Intn(4) != 0 {
+				in.Add(v)
+			}
 		}
-		wantInd := Induced(h, func(v V) bool { return in[v] })
-		gotInd := InduceInto(h, func(v V) bool { return in[v] }, scr)
+		wantInd := Induced(h, has(in))
+		gotInd := InduceIntoBits(h, in, scr)
 		requireSameHypergraph(t, seed, 0, gotInd, wantInd)
 	}
 }

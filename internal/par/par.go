@@ -1,6 +1,8 @@
 // Package par implements the data-parallel primitives the paper's PRAM
-// algorithms are expressed in: parallel for, map, reduce, prefix sums
-// (scan), and stream compaction (pack/filter).
+// algorithms are expressed in, as far as the solvers use them:
+// elementwise passes (For, ForBlocked), block-sharded passes with
+// per-shard accumulators (ForShards, ForShardsWork) and one reduction
+// (ReduceOn).
 //
 // Each primitive has two roles:
 //
@@ -9,34 +11,33 @@
 //  2. It charges an idealized EREW PRAM cost to an optional Cost
 //     accumulator: Work is the total number of primitive operations and
 //     Depth is the parallel time assuming one processor per element
-//     (O(1) for elementwise steps, O(log n) for reductions and scans).
+//     (O(1) for elementwise steps, O(log n) for reductions).
 //
 // The cost model is the standard work-depth model; combined with Brent's
 // theorem it reproduces the "time T on poly(m,n) processors" statements
 // in the paper. Goroutine scheduling never affects results: primitives
 // are deterministic functions of their inputs, and every result is
 // bit-identical for any worker count (reductions over integers are
-// exact, prefix sums are exact, and shard boundaries only partition
-// work, never reorder it).
+// exact, and shard boundaries only partition work, never reorder it).
 //
 // # Engines
 //
 // An Engine bounds how many worker goroutines the primitives may use.
-// The zero Engine uses runtime.GOMAXPROCS — the whole machine — which
-// is what the package-level functions run on. Multi-tenant callers
-// (the service scheduler) construct one Engine per job with the degree
-// the scheduler granted, so concurrent jobs never oversubscribe the
-// host; Engine{P: 1} makes every primitive run inline with no
-// goroutines at all.
+// The zero Engine uses runtime.GOMAXPROCS — the whole machine.
+// Multi-tenant callers (the service scheduler) construct one Engine per
+// job with the degree the scheduler granted, so concurrent jobs never
+// oversubscribe the host; Engine{P: 1} makes every primitive run inline
+// with no goroutines at all.
 //
 // # Dispatch
 //
-// Multi-worker passes run on a persistent Pool when the engine carries
-// one (Pool.Engine): long-lived workers parked on a task channel take
-// closures by handoff instead of a fresh goroutine per pass, which
-// amortizes spawn cost across the thousands of short rounds a solve
-// executes. Engines without a pool (plain Engine{P: n} literals) fall
-// back to spawning, with the calling goroutine always acting as worker
+// Every primitive runs over one block loop: the (n, shards) partition
+// of BlockLen-sized blocks. Multi-worker passes run on a persistent
+// Pool: the engine's own (Pool.Engine) or, for engines without one, a
+// process-wide pool started on first use. Long-lived workers parked on
+// a task channel take closures by handoff instead of a fresh goroutine
+// per pass, which amortizes spawn cost across the thousands of short
+// rounds a solve executes; the calling goroutine always acts as worker
 // 0. How many workers a pass gets is decided by the grain — minimum
 // operations per chunk — which is either the static default or, when a
 // Tuner is attached (Engine.WithTuner), learned per pass class from
@@ -128,17 +129,17 @@ func log2Ceil(n int) int64 {
 // Engine bounds the parallelism of the primitives. P is the maximum
 // number of worker goroutines; P <= 0 means runtime.GOMAXPROCS. The
 // zero value is ready to use and runs on the whole machine. Engines
-// are values: copy freely, no state is shared beyond the optional
-// pool/tuner they reference.
+// are values: copy freely, no state is shared beyond the pool/tuner
+// they reference.
 //
-// Results never depend on P, on whether a pool or tuner is attached,
-// or on scheduling — primitives partition work without reordering it —
-// so an Engine choice is purely a scheduling decision.
+// Results never depend on P, on which pool or tuner is attached, or on
+// scheduling — primitives partition work without reordering it — so an
+// Engine choice is purely a scheduling decision.
 type Engine struct {
 	P int
 
-	// pool, when set, supplies persistent workers for multi-worker
-	// dispatch (see Pool.Engine). nil engines spawn per pass.
+	// pool, when set, supplies the workers for multi-worker dispatch
+	// (see Pool.Engine). nil engines dispatch onto the shared pool.
 	pool *Pool
 	// tune, when set, adapts the shard grain (see Tuner). nil engines
 	// use the static defaultGrain.
@@ -189,28 +190,34 @@ func (e Engine) workersFor(n, perItem int) int {
 	return w
 }
 
-// dispatch runs body(g) for every g in [0, w): on the persistent pool
-// when the engine has one, otherwise spawning w-1 goroutines. The
-// calling goroutine is always worker 0; w <= 1 runs inline.
+// dispatch runs body(g) for every g in [0, w) on the engine's pool, or
+// on the shared pool when it has none. The calling goroutine is always
+// worker 0; w <= 1 runs inline.
 func (e Engine) dispatch(w int, body func(g int)) {
 	if w <= 1 {
 		body(0)
 		return
 	}
-	if e.pool != nil {
-		e.pool.run(w, body)
-		return
+	p := e.pool
+	if p == nil {
+		p = sharedPool()
 	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for g := 1; g < w; g++ {
-		go func(g int) {
-			defer wg.Done()
-			body(g)
-		}(g)
-	}
-	body(0)
-	wg.Wait()
+	p.run(w, body)
+}
+
+var (
+	sharedOnce sync.Once
+	shared     *Pool
+)
+
+// sharedPool returns the process-wide pool that engines without a pool
+// dispatch onto, starting it on first use; it is never closed. It is
+// sized by runtime.NumCPU rather than GOMAXPROCS, which callers may
+// raise after the first use. An engine of higher degree still gets all
+// its blocks run: the dispatcher claims whatever no worker took.
+func sharedPool() *Pool {
+	sharedOnce.Do(func() { shared = NewPool(runtime.NumCPU()) })
+	return shared
 }
 
 // timed is dispatch plus tuner feedback: when a tuner is attached and
@@ -252,16 +259,12 @@ func (e Engine) For(c *Cost, n int, body func(i int)) {
 		}
 		return
 	}
-	chunk := (n + w - 1) / w
 	e.timed(n, 1, w, func(g int) {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
+		blocks(n, w, g, w, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				body(i)
+			}
+		})
 	})
 }
 
@@ -286,16 +289,14 @@ func (e Engine) ForBlocked(c *Cost, n int, body func(lo, hi int)) {
 
 // ForShards runs body(shard, lo, hi) over disjoint contiguous blocks
 // covering [0, n), passing the block index so callers can write to
-// per-shard accumulators without synchronization. The partition is a
-// pure function of (n, shards) — block s is [s·ceil(n/shards),
-// (s+1)·ceil(n/shards)) clamped to n — and every non-empty block is
-// invoked exactly once, regardless of how many goroutines actually run
-// (the engine only decides how blocks are distributed over workers).
-// Two ForShards calls with equal (n, shards) therefore see identical
-// boundaries even if GOMAXPROCS changes between them, which the
-// two-pass tally/assign callers rely on. Trailing shards are empty
-// (and not invoked) only when s·ceil(n/shards) ≥ n. Charges like an
-// elementwise step.
+// per-shard accumulators without synchronization. The partition is the
+// pure function of (n, shards) that BlockLen describes, and every
+// non-empty block is invoked exactly once, regardless of how many
+// goroutines actually run (the engine only decides how blocks are
+// distributed over workers). Two ForShards calls with equal (n, shards)
+// therefore see identical boundaries even if GOMAXPROCS changes between
+// them, which the two-pass tally/assign callers rely on. Empty trailing
+// blocks are not invoked. Charges like an elementwise step.
 func (e Engine) ForShards(c *Cost, n, shards int, body func(shard, lo, hi int)) {
 	c.Charge(int64(n), 1)
 	e.runShards(n, 1, shards, body)
@@ -313,110 +314,37 @@ func (e Engine) ForShardsWork(c *Cost, n, perItem, shards int, body func(shard, 
 	e.runShards(n, perItem, shards, body)
 }
 
+// BlockLen returns the block length of the (n, shards) partition every
+// primitive runs over: block s is [s·BlockLen, (s+1)·BlockLen) clamped
+// to n, so only trailing blocks are short or empty. It is
+// ceil(n/shards), at least 1; shards < 1 counts as 1.
+func BlockLen(n, shards int) int {
+	shards = max(shards, 1)
+	return max(1, (n+shards-1)/shards)
+}
+
 // runShards invokes body over the deterministic (n, shards) block
 // partition, distributing blocks round-robin over up to
 // workersFor(n, perItem) workers.
 func (e Engine) runShards(n, perItem, shards int, body func(shard, lo, hi int)) {
-	if shards < 1 {
-		shards = 1
-	}
-	chunk := (n + shards - 1) / shards
-	if chunk < 1 {
-		chunk = 1
-	}
-	w := e.workersFor(n, perItem)
-	if w > shards {
-		w = shards
-	}
+	shards = max(shards, 1)
+	w := min(e.workersFor(n, perItem), shards)
 	if w <= 1 {
-		for s := 0; s < shards; s++ {
-			lo := s * chunk
-			if lo >= n {
-				break
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(s, lo, hi)
-		}
+		blocks(n, shards, 0, 1, body)
 		return
 	}
-	e.timed(n, perItem, w, func(g int) {
-		for s := g; s < shards; s += w {
-			lo := s * chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(s, lo, hi)
-		}
-	})
+	e.timed(n, perItem, w, func(g int) { blocks(n, shards, g, w, body) })
 }
 
-// Count returns the number of indices in [0, n) for which pred holds.
-// Charges like a reduction.
-func (e Engine) Count(c *Cost, n int, pred func(i int) bool) int {
-	c.Charge(int64(n), log2Ceil(n))
-	w := e.workersFor(n, 1)
-	if w == 1 {
-		total := 0
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				total++
-			}
-		}
-		return total
+// blocks invokes body on the non-empty blocks g, g+stride, g+2·stride, …
+// of the (n, shards) partition: worker g's share when stride workers
+// split it round-robin. body does not escape, so a primitive that
+// adapts its own body here allocates no second closure per pass.
+func blocks(n, shards, g, stride int, body func(shard, lo, hi int)) {
+	chunk := BlockLen(n, shards)
+	for s := g; s < shards && s*chunk < n; s += stride {
+		body(s, s*chunk, min(s*chunk+chunk, n))
 	}
-	partial := make([]int, w)
-	chunk := (n + w - 1) / w
-	e.timed(n, 1, w, func(g int) {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		t := 0
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				t++
-			}
-		}
-		partial[g] = t
-	})
-	total := 0
-	for _, t := range partial {
-		total += t
-	}
-	return total
-}
-
-// And reports whether pred holds for all i in [0, n). Cost of a
-// reduction. (No short-circuiting across blocks: PRAM ANDs are
-// single-step reductions, and determinism matters more than the
-// constant factor here.)
-func (e Engine) And(c *Cost, n int, pred func(i int) bool) bool {
-	return e.Count(c, n, func(i int) bool { return !pred(i) }) == 0
-}
-
-// Or reports whether pred holds for any i in [0, n).
-func (e Engine) Or(c *Cost, n int, pred func(i int) bool) bool {
-	return e.Count(c, n, pred) > 0
-}
-
-// MapOn applies f elementwise on engine e producing a new slice.
-// Charges n work, depth 1.
-func MapOn[T, U any](e Engine, c *Cost, in []T, f func(T) U) []U {
-	out := make([]U, len(in))
-	e.ForBlocked(c, len(in), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(in[i])
-		}
-	})
-	return out
 }
 
 // ReduceOn combines the elements of in with an associative operation op
@@ -425,216 +353,35 @@ func MapOn[T, U any](e Engine, c *Cost, in []T, f func(T) U) []U {
 func ReduceOn[T any](e Engine, c *Cost, in []T, id T, op func(a, b T) T) T {
 	n := len(in)
 	c.Charge(int64(n), log2Ceil(n))
-	if n == 0 {
-		return id
-	}
-	w := e.workersFor(n, 1)
-	if w == 1 {
+	shards := e.workersFor(n, 1)
+	if shards == 1 {
 		acc := id
 		for _, v := range in {
 			acc = op(acc, v)
 		}
 		return acc
 	}
-	partial := make([]T, w)
-	chunk := (n + w - 1) / w
-	e.timed(n, 1, w, func(g int) {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = op(acc, in[i])
-		}
-		partial[g] = acc
+	// Trailing blocks of the (n, shards) partition may be empty and are
+	// never invoked; their partials keep the identity.
+	partial := make([]T, shards)
+	for s := range partial {
+		partial[s] = id
+	}
+	e.timed(n, 1, shards, func(g int) {
+		blocks(n, shards, g, shards, func(s, lo, hi int) {
+			acc := id
+			for _, v := range in[lo:hi] {
+				acc = op(acc, v)
+			}
+			partial[s] = acc
+		})
 	})
 	acc := id
-	for g := 0; g < w; g++ {
-		if g*chunk >= n {
-			break
-		}
-		acc = op(acc, partial[g])
+	for _, p := range partial {
+		acc = op(acc, p)
 	}
 	return acc
 }
-
-// ExclusiveScanOn computes the exclusive prefix sums of in on engine e:
-// out[i] = in[0] + ... + in[i-1], and returns (out, total). Charges 2n
-// work and 2*ceil(log2 n) depth — the standard two-phase
-// (upsweep/downsweep) EREW scan.
-func ExclusiveScanOn(e Engine, c *Cost, in []int) ([]int, int) {
-	n := len(in)
-	c.Charge(2*int64(n), 2*log2Ceil(n))
-	out := make([]int, n)
-	if n == 0 {
-		return out, 0
-	}
-	w := e.workersFor(n, 1)
-	if w == 1 {
-		run := 0
-		for i, v := range in {
-			out[i] = run
-			run += v
-		}
-		return out, run
-	}
-	// Phase 1: per-block sums.
-	chunk := (n + w - 1) / w
-	blockSum := make([]int, w)
-	e.timed(n, 1, w, func(g int) {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += in[i]
-		}
-		blockSum[g] = s
-	})
-	// Phase 2: sequential scan of block sums (w is tiny).
-	run := 0
-	blockOff := make([]int, w)
-	for g := 0; g < w; g++ {
-		blockOff[g] = run
-		run += blockSum[g]
-	}
-	// Phase 3: per-block exclusive scans with offsets.
-	e.dispatch(w, func(g int) {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		s := blockOff[g]
-		for i := lo; i < hi; i++ {
-			out[i] = s
-			s += in[i]
-		}
-	})
-	return out, run
-}
-
-// PackOn returns the elements of in whose index satisfies keep,
-// preserving order, on engine e. This is stream compaction: flag, scan,
-// scatter. Charges accordingly (one elementwise pass plus a scan plus a
-// scatter).
-func PackOn[T any](e Engine, c *Cost, in []T, keep func(i int) bool) []T {
-	n := len(in)
-	flags := make([]int, n)
-	e.ForBlocked(c, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				flags[i] = 1
-			}
-		}
-	})
-	off, total := ExclusiveScanOn(e, c, flags)
-	out := make([]T, total)
-	e.ForBlocked(c, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if flags[i] == 1 {
-				out[off[i]] = in[i]
-			}
-		}
-	})
-	return out
-}
-
-// PackIndicesOn returns the indices in [0, n) satisfying pred,
-// ascending, on engine e.
-func PackIndicesOn(e Engine, c *Cost, n int, pred func(i int) bool) []int {
-	idx := make([]int, n)
-	e.ForBlocked(c, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			idx[i] = i
-		}
-	})
-	return PackOn(e, c, idx, pred)
-}
-
-// FillOn sets dst[i] = v for all i on engine e.
-func FillOn[T any](e Engine, c *Cost, dst []T, v T) {
-	e.ForBlocked(c, len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = v
-		}
-	})
-}
-
-// ----------------------------------------------------------------------
-// Package-level wrappers: the historical API, running on the zero
-// Engine (whole machine). New code that must respect a per-job
-// parallelism degree calls the Engine methods / *On functions instead.
-
-// For runs body(i) for every i in [0, n) on the default engine.
-func For(c *Cost, n int, body func(i int)) { Engine{}.For(c, n, body) }
-
-// ForBlocked runs body(lo, hi) over blocks covering [0, n) on the
-// default engine.
-func ForBlocked(c *Cost, n int, body func(lo, hi int)) { Engine{}.ForBlocked(c, n, body) }
-
-// NumShards returns the default engine's recommended shard count for n
-// elements.
-func NumShards(n int) int { return Engine{}.NumShards(n) }
-
-// ForShards runs body over disjoint blocks with shard indices on the
-// default engine.
-func ForShards(c *Cost, n, shards int, body func(shard, lo, hi int)) {
-	Engine{}.ForShards(c, n, shards, body)
-}
-
-// Map applies f elementwise producing a new slice. Charges n work,
-// depth 1.
-func Map[T, U any](c *Cost, in []T, f func(T) U) []U { return MapOn(Engine{}, c, in, f) }
-
-// Reduce combines the elements of in with an associative operation op
-// and identity id.
-func Reduce[T any](c *Cost, in []T, id T, op func(a, b T) T) T {
-	return ReduceOn(Engine{}, c, in, id, op)
-}
-
-// SumInt is Reduce specialized to integer addition.
-func SumInt(c *Cost, in []int) int {
-	return Reduce(c, in, 0, func(a, b int) int { return a + b })
-}
-
-// MaxInt returns the maximum of in, or identity if empty.
-func MaxInt(c *Cost, in []int, identity int) int {
-	return Reduce(c, in, identity, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// Count returns the number of indices in [0, n) for which pred holds.
-func Count(c *Cost, n int, pred func(i int) bool) int { return Engine{}.Count(c, n, pred) }
-
-// ExclusiveScan computes the exclusive prefix sums of in.
-func ExclusiveScan(c *Cost, in []int) ([]int, int) { return ExclusiveScanOn(Engine{}, c, in) }
-
-// Pack returns the elements of in whose index satisfies keep, preserving
-// order.
-func Pack[T any](c *Cost, in []T, keep func(i int) bool) []T { return PackOn(Engine{}, c, in, keep) }
-
-// PackIndices returns the indices in [0, n) satisfying pred, ascending.
-func PackIndices(c *Cost, n int, pred func(i int) bool) []int {
-	return PackIndicesOn(Engine{}, c, n, pred)
-}
-
-// Fill sets dst[i] = v for all i.
-func Fill[T any](c *Cost, dst []T, v T) { FillOn(Engine{}, c, dst, v) }
-
-// And reports whether pred holds for all i in [0, n).
-func And(c *Cost, n int, pred func(i int) bool) bool { return Engine{}.And(c, n, pred) }
-
-// Or reports whether pred holds for any i in [0, n).
-func Or(c *Cost, n int, pred func(i int) bool) bool { return Engine{}.Or(c, n, pred) }
 
 // ChargeStep records the cost of one elementwise parallel step over n
 // items that the caller performed inline (outside the primitives).

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,7 +14,7 @@ import (
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, defaultGrain - 1, defaultGrain, defaultGrain + 1, 10 * defaultGrain} {
 		hit := make([]bool, n)
-		For(nil, n, func(i int) { hit[i] = true })
+		Engine{}.For(nil, n, func(i int) { hit[i] = true })
 		for i, h := range hit {
 			if !h {
 				t.Fatalf("n=%d: index %d not visited", n, i)
@@ -24,7 +26,7 @@ func TestForCoversAllIndices(t *testing.T) {
 func TestForBlockedCoversDisjointly(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 3 * defaultGrain} {
 		count := make([]int, n)
-		ForBlocked(nil, n, func(lo, hi int) {
+		Engine{}.ForBlocked(nil, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				count[i]++
 			}
@@ -37,18 +39,7 @@ func TestForBlockedCoversDisjointly(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	in := make([]int, 5000)
-	for i := range in {
-		in[i] = i
-	}
-	out := Map(nil, in, func(x int) int { return x * 2 })
-	for i, v := range out {
-		if v != 2*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
+func sum(a, b int) int { return a + b }
 
 func TestReduceMatchesSequential(t *testing.T) {
 	s := rng.New(1)
@@ -62,19 +53,40 @@ func TestReduceMatchesSequential(t *testing.T) {
 		for _, v := range in {
 			want += v
 		}
-		return SumInt(nil, in) == want
+		return ReduceOn(Engine{}, nil, in, 0, sum) == want
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+func maxOf(a, b int) int { return max(a, b) }
+
+// TestReduceEmpty: an empty input, and the empty trailing blocks of a
+// partition with more shards than full blocks, contribute the identity.
 func TestReduceEmpty(t *testing.T) {
-	if got := SumInt(nil, nil); got != 0 {
+	if got := ReduceOn(Engine{}, nil, []int(nil), 0, sum); got != 0 {
 		t.Fatalf("sum of empty = %d", got)
 	}
-	if got := MaxInt(nil, nil, -7); got != -7 {
+	if got := ReduceOn(Engine{}, nil, []int(nil), -7, maxOf); got != -7 {
 		t.Fatalf("max of empty = %d, want identity -7", got)
+	}
+	// At the minimum grain, 300 shards over 76801 items are 257 long, so
+	// the last block is empty; a zero partial would beat every input.
+	tu := NewTuner()
+	tu.observe(classElem, 1, 1<<30, 1)
+	e := Engine{P: 300}.WithTuner(tu)
+	n := 300*minGrain + 1
+	shards := e.NumShards(n)
+	if (shards-1)*BlockLen(n, shards) < n {
+		t.Fatalf("%d shards over %d items leave no block empty", shards, n)
+	}
+	in := make([]int, n)
+	for i := range in {
+		in[i] = -1 - i%1000
+	}
+	if got := ReduceOn(e, nil, in, math.MinInt, maxOf); got != -1 {
+		t.Fatalf("max with empty trailing blocks = %d, want -1", got)
 	}
 }
 
@@ -84,139 +96,22 @@ func TestMaxInt(t *testing.T) {
 		in[i] = i % 997
 	}
 	in[7777] = 100000
-	if got := MaxInt(nil, in, 0); got != 100000 {
-		t.Fatalf("MaxInt = %d", got)
-	}
-}
-
-func TestCount(t *testing.T) {
-	n := 12345
-	got := Count(nil, n, func(i int) bool { return i%3 == 0 })
-	want := (n + 2) / 3
-	if got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-}
-
-func TestExclusiveScanMatchesSequential(t *testing.T) {
-	s := rng.New(2)
-	for _, n := range []int{0, 1, 2, 17, defaultGrain, defaultGrain*4 + 3} {
-		in := make([]int, n)
-		for i := range in {
-			in[i] = s.Intn(9) - 4
-		}
-		out, total := ExclusiveScan(nil, in)
-		run := 0
-		for i := 0; i < n; i++ {
-			if out[i] != run {
-				t.Fatalf("n=%d: out[%d]=%d want %d", n, i, out[i], run)
-			}
-			run += in[i]
-		}
-		if total != run {
-			t.Fatalf("n=%d: total=%d want %d", n, total, run)
-		}
-	}
-}
-
-func TestPackPreservesOrder(t *testing.T) {
-	n := 3*defaultGrain + 11
-	in := make([]int, n)
-	for i := range in {
-		in[i] = i
-	}
-	out := Pack(nil, in, func(i int) bool { return i%5 == 2 })
-	prev := -1
-	for _, v := range out {
-		if v%5 != 2 {
-			t.Fatalf("kept wrong element %d", v)
-		}
-		if v <= prev {
-			t.Fatalf("order not preserved: %d after %d", v, prev)
-		}
-		prev = v
-	}
-	want := 0
-	for i := 0; i < n; i++ {
-		if i%5 == 2 {
-			want++
-		}
-	}
-	if len(out) != want {
-		t.Fatalf("len = %d want %d", len(out), want)
-	}
-}
-
-func TestPackIndices(t *testing.T) {
-	got := PackIndices(nil, 10, func(i int) bool { return i%2 == 0 })
-	want := []int{0, 2, 4, 6, 8}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
-func TestPackAllNone(t *testing.T) {
-	in := []int{1, 2, 3}
-	if got := Pack(nil, in, func(int) bool { return true }); len(got) != 3 {
-		t.Fatalf("keep-all gave %v", got)
-	}
-	if got := Pack(nil, in, func(int) bool { return false }); len(got) != 0 {
-		t.Fatalf("keep-none gave %v", got)
-	}
-}
-
-func TestFill(t *testing.T) {
-	dst := make([]int, 5000)
-	Fill(nil, dst, 42)
-	for i, v := range dst {
-		if v != 42 {
-			t.Fatalf("dst[%d]=%d", i, v)
-		}
-	}
-}
-
-func TestAndOr(t *testing.T) {
-	if !And(nil, 100, func(i int) bool { return i < 100 }) {
-		t.Fatal("And should be true")
-	}
-	if And(nil, 100, func(i int) bool { return i != 50 }) {
-		t.Fatal("And should be false")
-	}
-	if !Or(nil, 100, func(i int) bool { return i == 99 }) {
-		t.Fatal("Or should be true")
-	}
-	if Or(nil, 100, func(i int) bool { return false }) {
-		t.Fatal("Or should be false")
-	}
-	if And(nil, 0, func(int) bool { return false }) != true {
-		t.Fatal("vacuous And should be true")
-	}
-	if Or(nil, 0, func(int) bool { return true }) != false {
-		t.Fatal("vacuous Or should be false")
+	if got := ReduceOn(Engine{}, nil, in, 0, maxOf); got != 100000 {
+		t.Fatalf("max = %d", got)
 	}
 }
 
 func TestCostAccounting(t *testing.T) {
 	var c Cost
-	For(&c, 1000, func(int) {})
+	Engine{}.For(&c, 1000, func(int) {})
 	if c.Work() != 1000 || c.Depth() != 1 || c.Steps() != 1 {
 		t.Fatalf("For cost: work=%d depth=%d steps=%d", c.Work(), c.Depth(), c.Steps())
 	}
 	c.Reset()
 	in := make([]int, 1024)
-	SumInt(&c, in)
+	ReduceOn(Engine{}, &c, in, 0, sum)
 	if c.Work() != 1024 || c.Depth() != 10 {
 		t.Fatalf("Reduce cost: work=%d depth=%d", c.Work(), c.Depth())
-	}
-	c.Reset()
-	ExclusiveScan(&c, in)
-	if c.Work() != 2048 || c.Depth() != 20 {
-		t.Fatalf("Scan cost: work=%d depth=%d", c.Work(), c.Depth())
 	}
 }
 
@@ -249,17 +144,6 @@ func TestLog2Ceil(t *testing.T) {
 	}
 }
 
-func BenchmarkScan1M(b *testing.B) {
-	in := make([]int, 1<<20)
-	for i := range in {
-		in[i] = i & 7
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ExclusiveScan(nil, in)
-	}
-}
-
 func BenchmarkReduce1M(b *testing.B) {
 	in := make([]int, 1<<20)
 	for i := range in {
@@ -267,16 +151,16 @@ func BenchmarkReduce1M(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SumInt(nil, in)
+		ReduceOn(Engine{}, nil, in, 0, sum)
 	}
 }
 
 func TestForShardsCoversDisjointly(t *testing.T) {
 	for _, n := range []int{0, 1, 7, defaultGrain, 10 * defaultGrain} {
 		seen := make([]int32, n)
-		shards := NumShards(n)
+		shards := Engine{}.NumShards(n)
 		hit := make([]bool, shards)
-		ForShards(nil, n, shards, func(s, lo, hi int) {
+		Engine{}.ForShards(nil, n, shards, func(s, lo, hi int) {
 			if s < 0 || s >= shards {
 				t.Errorf("shard index %d out of [0,%d)", s, shards)
 			}
@@ -305,7 +189,7 @@ func TestForShardsRespectsShardBound(t *testing.T) {
 	n := 10 * defaultGrain
 	const shards = 2
 	seen := make([]int32, n)
-	ForShards(nil, n, shards, func(s, lo, hi int) {
+	Engine{}.ForShards(nil, n, shards, func(s, lo, hi int) {
 		if s < 0 || s >= shards {
 			t.Errorf("shard index %d out of [0,%d)", s, shards)
 		}
@@ -334,43 +218,48 @@ func TestEngineProcsBound(t *testing.T) {
 	}
 }
 
-// TestEngineDeterminism: every primitive must return bit-identical
-// results for any worker bound.
-func TestEngineDeterminism(t *testing.T) {
-	const n = 100_000
-	in := make([]int, n)
+// primitiveOutputs runs every primitive over in on e and concatenates
+// the results: ReduceOn's sum, For's elementwise image, and the
+// per-block sums of ForShards over the fixed (n, 7) partition.
+func primitiveOutputs(e Engine, in []int) []int {
+	n := len(in)
+	out := make([]int, 1+n+7)
+	out[0] = ReduceOn(e, nil, in, 0, sum)
+	e.For(nil, n, func(i int) { out[1+i] = 3*in[i] + 1 })
+	blocks := out[1+n:]
+	e.ForShards(nil, n, len(blocks), func(s, lo, hi int) {
+		for _, v := range in[lo:hi] {
+			blocks[s] += v
+		}
+	})
+	return out
+}
+
+// requireSameOutputs fails at the first slot where got differs from ref.
+func requireSameOutputs(t *testing.T, label string, got, ref []int) {
+	t.Helper()
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("%s: output %d = %d, want %d", label, i, got[i], ref[i])
+		}
+	}
+}
+
+func determinismInput() []int {
+	in := make([]int, 100_000)
 	for i := range in {
 		in[i] = (i*2654435761 + 12345) % 1000
 	}
-	ref := ReduceOn(Engine{P: 1}, nil, in, 0, func(a, b int) int { return a + b })
-	refScan, refTotal := ExclusiveScanOn(Engine{P: 1}, nil, in)
-	refPack := PackIndicesOn(Engine{P: 1}, nil, n, func(i int) bool { return in[i]%7 == 0 })
+	return in
+}
+
+// TestEngineDeterminism: every primitive must return bit-identical
+// results for any worker bound.
+func TestEngineDeterminism(t *testing.T) {
+	in := determinismInput()
+	ref := primitiveOutputs(Engine{P: 1}, in)
 	for _, p := range []int{2, 3, 8, 64} {
-		e := Engine{P: p}
-		if got := ReduceOn(e, nil, in, 0, func(a, b int) int { return a + b }); got != ref {
-			t.Fatalf("P=%d: reduce %d want %d", p, got, ref)
-		}
-		scan, total := ExclusiveScanOn(e, nil, in)
-		if total != refTotal {
-			t.Fatalf("P=%d: scan total %d want %d", p, total, refTotal)
-		}
-		for i := range scan {
-			if scan[i] != refScan[i] {
-				t.Fatalf("P=%d: scan[%d]=%d want %d", p, i, scan[i], refScan[i])
-			}
-		}
-		pack := PackIndicesOn(e, nil, n, func(i int) bool { return in[i]%7 == 0 })
-		if len(pack) != len(refPack) {
-			t.Fatalf("P=%d: pack len %d want %d", p, len(pack), len(refPack))
-		}
-		for i := range pack {
-			if pack[i] != refPack[i] {
-				t.Fatalf("P=%d: pack[%d]=%d want %d", p, i, pack[i], refPack[i])
-			}
-		}
-		if got := e.Count(nil, n, func(i int) bool { return in[i] < 500 }); got != (Engine{P: 1}).Count(nil, n, func(i int) bool { return in[i] < 500 }) {
-			t.Fatalf("P=%d: count mismatch", p)
-		}
+		requireSameOutputs(t, fmt.Sprintf("P=%d", p), primitiveOutputs(Engine{P: p}, in), ref)
 	}
 }
 

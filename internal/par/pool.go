@@ -45,14 +45,23 @@ type task struct {
 	done sync.WaitGroup
 }
 
-// run claims unclaimed worker indices until none remain.
-func (t *task) run() {
+// run claims unclaimed worker indices until none remain. busy, when
+// non-nil, counts the claimed block while it runs, and drops before
+// the block's Done so that the dispatcher never returns while busy
+// still counts one of its blocks.
+func (t *task) run(busy *atomic.Int64) {
 	for {
 		g := int(t.next.Add(1))
 		if g >= t.w {
 			return
 		}
+		if busy != nil {
+			busy.Add(1)
+		}
 		t.body(g)
+		if busy != nil {
+			busy.Add(-1)
+		}
 		t.done.Done()
 	}
 }
@@ -95,7 +104,7 @@ func (p *Pool) Close() {
 // PoolStats is a snapshot of pool activity counters.
 type PoolStats struct {
 	Workers  int   // pool size
-	Busy     int64 // workers currently running a pass (gauge)
+	Busy     int64 // workers currently running a block (gauge)
 	Handoffs int64 // blocks handed to parked workers (cumulative)
 	Inline   int64 // multi-worker passes that found no parked worker (cumulative)
 }
@@ -115,9 +124,7 @@ func (p *Pool) worker() {
 	for {
 		select {
 		case t := <-p.tasks:
-			p.busy.Add(1)
-			t.run()
-			p.busy.Add(-1)
+			t.run(&p.busy)
 		case <-p.stop:
 			return
 		}
@@ -145,7 +152,7 @@ func (p *Pool) run(w int, body func(g int)) {
 		p.inline.Add(1)
 	}
 	body(0)
-	t.run()
+	t.run(nil)
 	t.done.Wait()
 }
 

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,38 +35,11 @@ func TestPoolDispatchCoversAllWorkers(t *testing.T) {
 func TestPoolEngineDeterminism(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()
-	const n = 100_000
-	in := make([]int, n)
-	for i := range in {
-		in[i] = (i*2654435761 + 12345) % 1000
-	}
-	sum := func(a, b int) int { return a + b }
-	ref := ReduceOn(Engine{P: 1}, nil, in, 0, sum)
-	refScan, refTotal := ExclusiveScanOn(Engine{P: 1}, nil, in)
-	refPack := PackIndicesOn(Engine{P: 1}, nil, n, func(i int) bool { return in[i]%7 == 0 })
+	in := determinismInput()
+	ref := primitiveOutputs(Engine{P: 1}, in)
 	for _, deg := range []int{1, 2, 3, 8, 64} {
 		e := p.Engine(deg).WithTuner(NewTuner())
-		if got := ReduceOn(e, nil, in, 0, sum); got != ref {
-			t.Fatalf("deg=%d: reduce %d want %d", deg, got, ref)
-		}
-		scan, total := ExclusiveScanOn(e, nil, in)
-		if total != refTotal {
-			t.Fatalf("deg=%d: scan total %d want %d", deg, total, refTotal)
-		}
-		for i := range scan {
-			if scan[i] != refScan[i] {
-				t.Fatalf("deg=%d: scan[%d]=%d want %d", deg, i, scan[i], refScan[i])
-			}
-		}
-		pack := PackIndicesOn(e, nil, n, func(i int) bool { return in[i]%7 == 0 })
-		if len(pack) != len(refPack) {
-			t.Fatalf("deg=%d: pack len %d want %d", deg, len(pack), len(refPack))
-		}
-		for i := range pack {
-			if pack[i] != refPack[i] {
-				t.Fatalf("deg=%d: pack[%d]=%d want %d", deg, i, pack[i], refPack[i])
-			}
-		}
+		requireSameOutputs(t, fmt.Sprintf("deg=%d", deg), primitiveOutputs(e, in), ref)
 	}
 }
 
@@ -91,11 +65,19 @@ func TestPoolSharedByConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			e := p.Engine(deg).WithTuner(NewTuner())
 			for iter := 0; iter < 30; iter++ {
-				if got := ReduceOn(e, nil, in, 0, func(a, b int) int { return a + b }); got != want {
+				if got := ReduceOn(e, nil, in, 0, sum); got != want {
 					errs <- got
 					return
 				}
-				if got := e.Count(nil, n, func(i int) bool { return in[i] == 0 }); got != (n+96)/97 {
+				zeros := make([]int, e.NumShards(n))
+				e.ForShards(nil, n, len(zeros), func(s, lo, hi int) {
+					for _, v := range in[lo:hi] {
+						if v == 0 {
+							zeros[s]++
+						}
+					}
+				})
+				if got := ReduceOn(Engine{P: 1}, nil, zeros, 0, sum); got != (n+96)/97 {
 					errs <- got
 					return
 				}

@@ -86,9 +86,8 @@ type Tuner struct {
 	// sample yet.
 	nsPerOp [numClasses]atomic.Int64
 	// short is the current consecutive-short-round streak.
-	short   atomic.Int32
-	samples atomic.Int64
-	rounds  atomic.Int64
+	short  atomic.Int32
+	rounds atomic.Int64
 }
 
 // NewTuner returns a tuner with no samples: engines behave exactly as
@@ -134,7 +133,6 @@ func (t *Tuner) observe(class int, ops, elapsedNs int64, w int) {
 	} else {
 		t.nsPerOp[class].Store(old + (sample-old)/8)
 	}
-	t.samples.Add(1)
 }
 
 // ObserveRound feeds one completed solver round's wall time. Wire it
@@ -160,14 +158,6 @@ func (t *Tuner) ObserveRound(d time.Duration) {
 // dispatch because of a short-round streak.
 func (t *Tuner) Collapsed() bool {
 	return t != nil && t.short.Load() >= shortRoundStreak
-}
-
-// Samples returns how many dispatch timings have been folded in.
-func (t *Tuner) Samples() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.samples.Load()
 }
 
 // Rounds returns how many round timings have been observed.

@@ -143,9 +143,9 @@ type Options struct {
 	Workspace *Workspace
 	// ParPool, if non-nil, supplies the persistent worker pool the
 	// solve's parallel passes dispatch onto; unlike a Workspace it may
-	// be shared by concurrent solves. nil makes the call run a private
-	// pool when Parallelism permits more than one worker (and none at
-	// all when it doesn't). Pools never affect results.
+	// be shared by concurrent solves. nil dispatches onto a process-wide
+	// pool, started the first time a solve needs more than one worker
+	// and never closed. Pools never affect results.
 	ParPool *ParPool
 }
 
@@ -216,19 +216,17 @@ func SolveCtx(ctx context.Context, h *Hypergraph, opts Options) (*Result, error)
 	}
 	observer = solver.Tee(observer, solver.RoundObserver(opts.RoundObserver))
 
-	// Parallel runs dispatch onto a persistent pool (the caller's, or a
-	// private one for this call) and attach a fresh grain autotuner fed
-	// by the per-round wall times the Loop driver already records.
-	// Neither changes results — see Options.Parallelism.
+	// Parallel runs dispatch onto a persistent pool (the caller's, or
+	// the process-wide one) and attach a fresh grain autotuner fed by
+	// the per-round wall times the Loop driver already records. Neither
+	// changes results — see Options.Parallelism.
 	eng := par.Engine{P: opts.Parallelism}
 	if eng.Procs() > 1 {
-		pool := opts.ParPool
-		if pool == nil {
-			pool = par.NewPool(eng.Procs() - 1)
-			defer pool.Close()
+		if opts.ParPool != nil {
+			eng = opts.ParPool.Engine(opts.Parallelism)
 		}
 		tuner := par.NewTuner()
-		eng = pool.Engine(opts.Parallelism).WithTuner(tuner)
+		eng = eng.WithTuner(tuner)
 		observer = solver.Tee(observer, func(r solver.Round) { tuner.ObserveRound(r.Elapsed) })
 	}
 
