@@ -118,7 +118,7 @@ func activeSubinstance(h *hypermis.Hypergraph, remaining []bool) *hypermis.Hyper
 			}
 		}
 		if inside {
-			b.AddEdgeSlice(append(hypermis.Edge(nil), e...))
+			b.AddEdgeSlice(e)
 		}
 	}
 	sub, err := b.Build()

@@ -105,7 +105,7 @@ func colorByMIS(h *hypermis.Hypergraph, label string) int {
 				}
 			}
 			if all {
-				b.AddEdgeSlice(append(hypermis.Edge(nil), e...))
+				b.AddEdgeSlice(e)
 			}
 		}
 		sub, err := b.Build()

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -362,6 +364,81 @@ func TestDigestMatchesWriteBinary(t *testing.T) {
 		sum := sha256.Sum256(buf.Bytes())
 		if got, want := Digest(h), hex.EncodeToString(sum[:]); got != want {
 			t.Fatalf("Digest = %s, want sha256 of WriteBinary output %s", got, want)
+		}
+	}
+}
+
+// oneLineBody returns a text instance on n vertices whose one edge line
+// holds the ids i % n for i = 0, 1, … until the body reaches size bytes.
+func oneLineBody(size, n int) []byte {
+	b := make([]byte, 0, size+32)
+	b = fmt.Appendf(b, "hypergraph %d 1\n", n)
+	for i := 0; len(b) < size; i++ {
+		b = strconv.AppendInt(b, int64(i%n), 10)
+		b = append(b, ' ')
+	}
+	return append(b, '\n')
+}
+
+// TestReadTextMemoryBounded pins the text reader's memory amplification
+// on a 16 MiB one-line body: reading it allocates at most
+// 4·len(body) + 1 MiB in total, whether the line repeats ten ids (the
+// open edge is compacted in place as it grows) or holds millions of
+// distinctt ones (the arena grows by doubling). The reader that split
+// lines with strings.Fields allocated 239.0 MiB and 106.7 MiB here.
+func TestReadTextMemoryBounded(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		distinct int
+	}{
+		{n: 10, distinct: 10},
+		{n: 4_000_000},
+	} {
+		body := oneLineBody(16<<20, tc.n)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		h, err := ReadText(bytes.NewReader(body))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("ids i%%%d: %v", tc.n, err)
+		}
+		if h.M() != 1 || tc.distinct > 0 && h.Dim() != tc.distinct {
+			t.Fatalf("ids i%%%d: read %v", tc.n, h)
+		}
+		alloc, limit := m1.TotalAlloc-m0.TotalAlloc, 4*uint64(len(body))+1<<20
+		t.Logf("ids i%%%d: %d-byte body, %.1f MiB allocated (%.2f×)", tc.n, len(body), float64(alloc)/(1<<20), float64(alloc)/float64(len(body)))
+		if alloc > limit {
+			t.Errorf("ids i%%%d: reading a %d-byte body allocated %d bytes, limit %d", tc.n, len(body), alloc, limit)
+		}
+	}
+}
+
+// BenchmarkReadBinary reads serve-small's instance shape,
+// RandomGraph(1000, 3000), from its binary encoding.
+func BenchmarkReadBinary(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, hypergraph.RandomGraph(rng.New(1), 1000, 3000)); err != nil {
+		b.Fatal(err)
+	}
+	benchmarkRead(b, buf.Bytes(), ReadBinary)
+}
+
+// BenchmarkReadText reads serve-repeat's instance shape,
+// RandomMixed(1000, 2000, 2..12), from its text encoding.
+func BenchmarkReadText(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, hypergraph.RandomMixed(rng.New(1), 1000, 2000, 2, 12)); err != nil {
+		b.Fatal(err)
+	}
+	benchmarkRead(b, buf.Bytes(), ReadText)
+}
+
+func benchmarkRead(b *testing.B, data []byte, read func(io.Reader) (*hypergraph.Hypergraph, error)) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		if _, err := read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -68,6 +68,8 @@ func TestMalformedHeaders(t *testing.T) {
 		{"non-numeric n", "hypergraph x 1\n0 1\n"},
 		{"non-numeric m", "hypergraph 3 y\n0 1\n"},
 		{"negative n", "hypergraph -3 1\n0 1\n"},
+		{"n past 2^31", "hypergraph 3000000000 0\n"},
+		{"m past 2^31", "hypergraph 5 3000000000\n"},
 		{"declared too many", "hypergraph 3 2\n0 1\n"},
 		{"declared too few", "hypergraph 3 1\n0 1\n1 2\n"},
 	}
@@ -87,6 +89,7 @@ func TestMalformedHeaders(t *testing.T) {
 		{"magic only", []byte("HGB1")},
 		{"n without m", append([]byte("HGB1"), 5)},
 		{"huge n", append([]byte("HGB1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0)},
+		{"m past 2^31", binary.AppendUvarint(append([]byte("HGB1"), 5), 3000000000)},
 		{"edge size zero", append([]byte("HGB1"), 3, 1, 0)},
 		{"edge size over n", append([]byte("HGB1"), 3, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0)},
 		{"truncated edge", append([]byte("HGB1"), 3, 1, 2, 0)},

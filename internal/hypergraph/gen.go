@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -140,18 +139,9 @@ func PlantedMIS(s *rng.Stream, n, m, d, plantedSize int) *Hypergraph {
 			}
 		}
 		if inPlant {
-			// Swap one vertex for a non-plant vertex.
+			// Swap one vertex for a non-plant vertex; the Builder
+			// re-sorts the edge and drops a colliding duplicate.
 			e[len(e)-1] = V(plantedSize + s.Intn(n-plantedSize))
-			sort.Slice(e, func(a, c int) bool { return e[a] < e[c] })
-			// Dedup in case of collision.
-			w := 1
-			for j := 1; j < len(e); j++ {
-				if e[j] != e[j-1] {
-					e[w] = e[j]
-					w++
-				}
-			}
-			e = e[:w]
 		}
 		b.AddEdgeSlice(e)
 	}

@@ -39,6 +39,8 @@ package hypergraph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -74,7 +76,6 @@ func packCanon(n int, canon []Edge) *Hypergraph {
 	}
 	verts := make([]V, total)
 	off := make([]int32, len(canon)+1)
-	edges := make([]Edge, len(canon))
 	pos := 0
 	for i, e := range canon {
 		off[i] = int32(pos)
@@ -82,10 +83,17 @@ func packCanon(n int, canon []Edge) *Hypergraph {
 		pos += len(e)
 	}
 	off[len(canon)] = int32(total)
+	return &Hypergraph{n: n, dim: dim, verts: verts, off: off, edges: edgeHeaders(verts, off)}
+}
+
+// edgeHeaders returns the Edge headers of a CSR arena, each capped at
+// its own end so that an append through one cannot reach the next.
+func edgeHeaders(verts []V, off []int32) []Edge {
+	edges := make([]Edge, len(off)-1)
 	for i := range edges {
 		edges[i] = verts[off[i]:off[i+1]:off[i+1]]
 	}
-	return &Hypergraph{n: n, dim: dim, verts: verts, off: off, edges: edges}
+	return edges
 }
 
 // NewBuilder returns a builder for a hypergraph on n vertices.
@@ -93,64 +101,187 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("hypergraph: negative vertex count")
 	}
-	return &Builder{n: n}
+	return &Builder{n: n, compactAt: minCompact}
 }
 
-// Builder accumulates edges and produces a canonical Hypergraph. Edges
-// are canonicalized (sorted, duplicate vertices within an edge removed)
-// and duplicate edges are dropped. Empty edges are rejected at Build
-// time: an empty edge makes every set dependent and no MIS exists.
+// Builder accumulates edges straight into one CSR arena, the layout the
+// built Hypergraph keeps, and produces a canonical Hypergraph:
+//
+//   - Each edge is canonicalized in place when it ends. It is sorted and
+//     its repeated vertices dropped only if it is not already strictly
+//     increasing.
+//   - Each ending edge is compared with the one before it. Build sorts
+//     and deduplicates the edge list only if some edge was not greater
+//     than its predecessor. Input that is already canonical, such as
+//     hgio's WriteBinary and WriteText output, is never sorted, and its
+//     arena passes to the Hypergraph without a copy.
+//
+// Edges are added whole (AddEdge, AddEdgeSlice) or one vertex at a time
+// (Push, then EndEdge), which is how the hgio readers decode into the
+// arena without building an Edge per edge. An empty edge or a vertex
+// outside [0, n) makes Build fail: an empty edge makes every set
+// dependent and no MIS exists.
 type Builder struct {
 	n     int
-	edges []Edge
+	verts []V     // the ended edges back to back, then the open edge
+	off   []int32 // empty, or 0 and then the end of each ended edge
+	open  int     // where the open edge starts in verts
+	dim   int
+	// unsorted records that some edge ended no greater than the one
+	// before it, so Build must sort the edge list.
+	unsorted bool
+	// compactAt is the open-edge length at which a full arena
+	// canonicalizes the open edge before it grows.
+	compactAt int
+	err       error // the first bad edge's
 }
 
-// AddEdge appends an edge given as vertex list. Vertices out of range
-// cause Build to fail.
+const (
+	// minCompact is the open-edge length below which the open edge is
+	// only canonicalized when it ends.
+	minCompact = 1 << 10
+	// minArena is the smallest capacity grow allocates.
+	minArena = 64
+)
+
+// AddEdge appends an edge given as a vertex list; see AddEdgeSlice.
 func (b *Builder) AddEdge(vs ...V) *Builder {
-	e := make(Edge, len(vs))
-	copy(e, vs)
-	b.edges = append(b.edges, e)
-	return b
+	return b.AddEdgeSlice(vs)
 }
 
-// AddEdgeSlice appends an edge, taking ownership of the slice.
+// AddEdgeSlice copies e's vertices into the open edge and ends it. The
+// caller keeps e. Vertices out of range cause Build to fail.
 func (b *Builder) AddEdgeSlice(e Edge) *Builder {
-	b.edges = append(b.edges, e)
+	b.makeRoom(len(e))
+	b.verts = append(b.verts, e...)
+	b.EndEdge()
 	return b
 }
 
-// Build canonicalizes and validates the accumulated edges.
-func (b *Builder) Build() (*Hypergraph, error) {
-	canon := make([]Edge, 0, len(b.edges))
-	for _, e := range b.edges {
-		if len(e) == 0 {
-			return nil, fmt.Errorf("hypergraph: empty edge (no independent set can exist)")
-		}
-		c := append(Edge(nil), e...)
-		sortEdge(c)
-		// Remove duplicate vertices within the edge.
-		w := 1
-		for i := 1; i < len(c); i++ {
-			if c[i] != c[i-1] {
-				c[w] = c[i]
-				w++
-			}
-		}
-		c = c[:w]
-		for _, v := range c {
-			if v < 0 || int(v) >= b.n {
-				return nil, fmt.Errorf("hypergraph: vertex %d out of range [0,%d)", v, b.n)
-			}
-		}
-		canon = append(canon, c)
+// Push appends v to the open edge; EndEdge ends it.
+func (b *Builder) Push(v V) {
+	if len(b.verts) == cap(b.verts) {
+		b.makeRoom(1)
 	}
-	return packCanon(b.n, dedupEdges(canon)), nil
+	b.verts = append(b.verts, v)
+}
+
+// Grow reserves arena room for edges more edges holding verts more
+// vertices in total, so a caller that knows the size up front fills the
+// arena without reallocating it.
+func (b *Builder) Grow(edges, verts int) {
+	b.verts = slices.Grow(b.verts, verts)
+	b.off = slices.Grow(b.off, edges+1)
+}
+
+// makeRoom makes room for k more vertices. When the open edge has
+// doubled since it was last canonicalized, it is canonicalized first,
+// which bounds an edge that repeats its vertices by twice its distinct
+// ones; then the arena grows if the room is still short.
+func (b *Builder) makeRoom(k int) {
+	if cap(b.verts)-len(b.verts) >= k {
+		return
+	}
+	if len(b.verts)-b.open >= b.compactAt {
+		b.verts = b.verts[:b.open+len(canonEdge(b.verts[b.open:]))]
+		b.compactAt = max(2*(len(b.verts)-b.open), minCompact)
+	}
+	b.verts = grow(b.verts, k)
+}
+
+// grow returns s with room for k more elements. When it must reallocate
+// it at least doubles the capacity, so an array filled an element at a
+// time allocates about twice its final size in total; append's 1.25×
+// growth of large slices allocates about five times.
+func grow[T any](s []T, k int) []T {
+	if cap(s)-len(s) >= k {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+k, minArena))
+	copy(t, s)
+	return t
+}
+
+// EndEdge ends the open edge: it canonicalizes the edge in place and
+// checks it. A bad edge is dropped, and Build then fails with its
+// error.
+func (b *Builder) EndEdge() {
+	e := canonEdge(b.verts[b.open:])
+	b.verts = b.verts[:b.open+len(e)]
+	b.compactAt = minCompact
+	if err := b.check(e); err != nil {
+		if b.err == nil {
+			b.err = err
+		}
+		b.verts = b.verts[:b.open]
+		return
+	}
+	b.off = grow(b.off, 2)
+	if len(b.off) == 0 {
+		b.off = append(b.off, 0)
+	}
+	if m := len(b.off) - 1; m > 0 && !b.unsorted && slices.Compare(b.verts[b.off[m-1]:b.open], e) >= 0 {
+		b.unsorted = true
+	}
+	b.off = append(b.off, int32(len(b.verts)))
+	b.open = len(b.verts)
+	b.dim = max(b.dim, len(e))
+}
+
+// check validates a canonical edge ending at the arena's end.
+func (b *Builder) check(e Edge) error {
+	switch {
+	case len(e) == 0:
+		return fmt.Errorf("hypergraph: empty edge (no independent set can exist)")
+	case e[0] < 0:
+		return fmt.Errorf("hypergraph: vertex %d out of range [0,%d)", e[0], b.n)
+	case int(e[len(e)-1]) >= b.n:
+		i := slices.IndexFunc(e, func(v V) bool { return int(v) >= b.n })
+		return fmt.Errorf("hypergraph: vertex %d out of range [0,%d)", e[i], b.n)
+	case len(b.verts) > math.MaxInt32:
+		return fmt.Errorf("hypergraph: more than %d vertex slots over all edges", math.MaxInt32)
+	}
+	return nil
+}
+
+// canonEdge canonicalizes e in place and returns its canonical prefix:
+// only if e is not already strictly increasing, it is sorted and its
+// repeated vertices are dropped.
+func canonEdge(e Edge) Edge {
+	i := 1
+	for i < len(e) && e[i-1] < e[i] {
+		i++
+	}
+	if i >= len(e) {
+		return e
+	}
+	sortEdge(e)
+	return slices.Compact(e)
+}
+
+// Build returns the canonical hypergraph. Unless the edge list must be
+// sorted, the arena passes to it without a copy. The Builder may go on
+// adding edges: they land past the arena's part the Hypergraph reads.
+func (b *Builder) Build() (*Hypergraph, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	if len(b.verts) > b.open {
+		return nil, fmt.Errorf("hypergraph: Build with an open edge (Push without EndEdge)")
+	}
+	off := b.off
+	if len(off) == 0 {
+		off = []int32{0}
+	}
+	edges := edgeHeaders(b.verts, off)
+	if b.unsorted {
+		return packCanon(b.n, dedupEdges(edges)), nil
+	}
+	return &Hypergraph{n: b.n, dim: b.dim, verts: b.verts, off: off, edges: edges}, nil
 }
 
 // sortEdge sorts a vertex slice ascending. Small edges (the common
-// case: dimension is polylogarithmic) use insertion sort, which does
-// not allocate; sort.Slice is kept for pathological sizes.
+// case: dimension is polylogarithmic) use insertion sort.
 func sortEdge(e Edge) {
 	if len(e) <= 32 {
 		for i := 1; i < len(e); i++ {
@@ -164,7 +295,7 @@ func sortEdge(e Edge) {
 		}
 		return
 	}
-	sort.Slice(e, func(i, j int) bool { return e[i] < e[j] })
+	slices.Sort(e)
 }
 
 // MustBuild is Build that panics on error; for tests and generators
@@ -179,14 +310,8 @@ func (b *Builder) MustBuild() *Hypergraph {
 
 // dedupEdges sorts edges lexicographically and removes exact duplicates.
 func dedupEdges(edges []Edge) []Edge {
-	sort.Slice(edges, func(i, j int) bool { return lessEdge(edges[i], edges[j]) })
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || !equalEdge(e, edges[i-1]) {
-			out = append(out, e)
-		}
-	}
-	return out
+	slices.SortFunc(edges, func(a, b Edge) int { return slices.Compare(a, b) })
+	return slices.CompactFunc(edges, equalEdge)
 }
 
 func lessEdge(a, b Edge) bool {
@@ -210,8 +335,8 @@ func equalEdge(a, b Edge) bool {
 	return true
 }
 
-// FromEdges builds a hypergraph directly from edges assumed owned by the
-// caller; they are canonicalized like Builder does.
+// FromEdges builds a hypergraph from an edge list, canonicalized as
+// Builder does. The edges are copied; the caller keeps them.
 func FromEdges(n int, edges []Edge) (*Hypergraph, error) {
 	b := NewBuilder(n)
 	for _, e := range edges {
@@ -308,11 +433,7 @@ func (h *Hypergraph) String() string {
 func (h *Hypergraph) Clone() *Hypergraph {
 	verts := append([]V(nil), h.verts...)
 	off := append([]int32(nil), h.off...)
-	edges := make([]Edge, len(h.edges))
-	for i := range edges {
-		edges[i] = verts[off[i]:off[i+1]:off[i+1]]
-	}
-	return &Hypergraph{n: h.n, dim: h.dim, verts: verts, off: off, edges: edges}
+	return &Hypergraph{n: h.n, dim: h.dim, verts: verts, off: off, edges: edgeHeaders(verts, off)}
 }
 
 // ContainsSorted reports whether sorted edge e contains sorted subset x.
