@@ -506,16 +506,7 @@ func cmdStats(args []string) error {
 			fmt.Printf("  edges of size %d: %d\n", size, count)
 		}
 	}
-	deg := h.VertexDegrees()
-	maxDeg, isolated := 0, 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-		if d == 0 {
-			isolated++
-		}
-	}
+	maxDeg, isolated := h.DegreeSummary()
 	fmt.Printf("  max vertex degree: %d, isolated vertices: %d\n", maxDeg, isolated)
 	return nil
 }

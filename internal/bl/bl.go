@@ -142,11 +142,6 @@ type Result struct {
 // ErrStageLimit is returned when MaxStages is exceeded.
 var ErrStageLimit = errors.New("bl: stage limit exceeded")
 
-// unmarkShardThreshold is the arena size (total edge-list vertices)
-// above which the fully-marked-edge pass fans out over per-shard unmark
-// bitsets merged by a word-parallel OR.
-const unmarkShardThreshold = 1 << 14
-
 func init() {
 	solver.Register(solver.Descriptor{
 		Algo:       solver.BL,
@@ -370,7 +365,7 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		if st.Marked > 0 {
 			m := len(edges)
 			shards := eng.NumShards(m)
-			if cur.ArenaLen() < unmarkShardThreshold {
+			if cur.ArenaLen() < par.MinScanWork {
 				shards = 1
 			}
 			// Per-shard scratch sets, OR-merged word-parallel (the union

@@ -2,6 +2,7 @@ package bl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/hypergraph"
@@ -274,6 +275,66 @@ func TestBLStagesReasonable(t *testing.T) {
 	res := run(t, h, 9)
 	if res.Stages > 200 {
 		t.Fatalf("BL took %d stages on n=200, d=3", res.Stages)
+	}
+}
+
+// pathInstance builds a hypergraph whose arena holds exactly arena
+// vertices: the path of edges {i, i+1}, plus one edge on three fresh
+// vertices when arena is odd. Consecutive edges share a vertex, so
+// fully marked edges on both sides of a shard boundary unmark a common
+// vertex.
+func pathInstance(arena int) *hypergraph.Hypergraph {
+	k := arena / 2
+	if arena%2 == 1 {
+		k = (arena - 3) / 2
+	}
+	b := hypergraph.NewBuilder(k + 4)
+	if arena%2 == 1 {
+		b.AddEdge(hypergraph.V(k+1), hypergraph.V(k+2), hypergraph.V(k+3))
+	}
+	for i := 0; i < k; i++ {
+		b.AddEdge(hypergraph.V(i), hypergraph.V(i+1))
+	}
+	return b.MustBuild()
+}
+
+// TestBLUnmarkParityAtScanThreshold pins the switchover of BL's
+// fully-marked-edge pass, which shards once the stage's arena reaches
+// par.MinScanWork: with a first-stage arena of threshold−1, threshold
+// and threshold+1 vertices, P 1 and P 4 must unmark the same vertices
+// and return the same masks.
+func TestBLUnmarkParityAtScanThreshold(t *testing.T) {
+	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
+		h := pathInstance(arena)
+		if h.ArenaLen() != arena {
+			t.Fatalf("pathInstance(%d) built arena %d", arena, h.ArenaLen())
+		}
+		if shards := (par.Engine{P: 4}).NumShards(h.M()); shards < 2 {
+			t.Fatalf("arena=%d: %d edges give %d shards at P=4", arena, h.M(), shards)
+		}
+		var ref *Result
+		for _, p := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.CollectStats = true
+			opts.Par = par.Engine{P: p}
+			res, err := Run(h, nil, rng.New(5), nil, opts)
+			if err != nil {
+				t.Fatalf("arena=%d P=%d: %v", arena, p, err)
+			}
+			if st := res.Stats[0]; st.Edges != h.M() || st.Unmarked == 0 {
+				t.Fatalf("arena=%d P=%d: first stage has %d of %d edges and unmarks %d",
+					arena, p, st.Edges, h.M(), st.Unmarked)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if res.Stats[0].Unmarked != ref.Stats[0].Unmarked || res.Stages != ref.Stages ||
+				!slices.Equal(res.InIS, ref.InIS) || !slices.Equal(res.Red, ref.Red) {
+				t.Fatalf("arena=%d: P=4 differs from P=1 (unmarked %d vs %d, stages %d vs %d)",
+					arena, res.Stats[0].Unmarked, ref.Stats[0].Unmarked, res.Stages, ref.Stages)
+			}
+		}
 	}
 }
 

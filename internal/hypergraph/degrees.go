@@ -129,7 +129,9 @@ func (t *DegreeTable) merge(other *DegreeTable) {
 }
 
 // buildShardThreshold is the subset-enumeration work (m·2^d) below
-// which a sharded build is not worth the merge cost.
+// which a sharded build is not worth the merge cost. It is not
+// par.MinScanWork: it prices merging the per-shard hash tables, not a
+// scan, and at 2^14 more of BL's small stage tables would shard.
 const buildShardThreshold = 1 << 15
 
 // BuildDegreeTable enumerates all edge subsets on the whole machine;

@@ -413,6 +413,26 @@ func (h *Hypergraph) VertexDegrees() []int {
 	return deg
 }
 
+// DegreeSummary returns the largest vertex degree and the number of
+// vertices in no edge. It counts runs in a sorted copy of the arena, so
+// it allocates in proportion to the edges, never to n; VertexDegrees
+// is the per-vertex reference.
+func (h *Hypergraph) DegreeSummary() (maxDeg, isolated int) {
+	vs := slices.Clone(h.verts)
+	slices.Sort(vs)
+	distinct := 0
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && vs[j] == vs[i] {
+			j++
+		}
+		maxDeg = max(maxDeg, j-i)
+		distinct++
+		i = j
+	}
+	return maxDeg, h.n - distinct
+}
+
 // DimHistogram returns counts of edges by size, indexed by size
 // (index 0 unused).
 func (h *Hypergraph) DimHistogram() []int {

@@ -1,6 +1,8 @@
 package hypergraph
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -70,6 +72,46 @@ func TestIncidence(t *testing.T) {
 	deg := h.VertexDegrees()
 	if deg[1] != 2 || deg[0] != 1 || deg[4] != 0 {
 		t.Fatalf("degrees wrong: %v", deg)
+	}
+}
+
+// TestDegreeSummary: DegreeSummary agrees with the VertexDegrees
+// reference, and allocates nothing sized by n: on n = 2^31 with the one
+// edge {0, 2^31 − 1} it reports degree 1 and 2^31 − 2 isolated vertices.
+func TestDegreeSummary(t *testing.T) {
+	s := rng.New(23)
+	for seed := 0; seed < 30; seed++ {
+		st := s.Child(uint64(seed))
+		n := 6 + st.Intn(200)
+		h := RandomMixed(st, n, st.Intn(2*n), 1, 6)
+		wantMax, wantIso := 0, 0
+		for _, d := range h.VertexDegrees() {
+			wantMax = max(wantMax, d)
+			if d == 0 {
+				wantIso++
+			}
+		}
+		if gotMax, gotIso := h.DegreeSummary(); gotMax != wantMax || gotIso != wantIso {
+			t.Fatalf("seed %d: DegreeSummary = (%d, %d), VertexDegrees gives (%d, %d)",
+				seed, gotMax, gotIso, wantMax, wantIso)
+		}
+	}
+
+	n := math.MaxInt32
+	n++ // computed, so the file still compiles where int has 32 bits
+	if n < 0 {
+		t.Skip("int has 32 bits")
+	}
+	h := NewBuilder(n).AddEdge(0, V(n-1)).MustBuild()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	maxDeg, isolated := h.DegreeSummary()
+	runtime.ReadMemStats(&after)
+	if maxDeg != 1 || isolated != n-2 {
+		t.Fatalf("n=2^31: DegreeSummary = (%d, %d), want (1, %d)", maxDeg, isolated, n-2)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("n=2^31: DegreeSummary allocated %d bytes", d)
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 // once the buffers are warm. Results are edge-set-identical to the pure
 // pipeline in ops.go (property-tested in round_test.go).
 //
-// Every pass is sharded over the scratch's engine when the arena is
-// large enough to pay for dispatch: classification and scatter split
-// the edge list into blocks, and slot assignment runs as per-shard
-// tallies + an exact prefix sum over the shards, so the assigned slots
-// — and therefore the output arenas — are bit-identical to the
-// sequential scan for any worker count.
+// Every pass is sharded over the scratch's engine when its scan reaches
+// par.MinScanWork (arena vertices; edges for slot assignment), and runs
+// inline below it: classification and scatter split the edge list into
+// blocks, and slot assignment runs as per-shard tallies + an exact
+// prefix sum over the shards, so the assigned slots — and therefore
+// the output arenas — are bit-identical to the sequential scan for any
+// worker count.
 //
 // A round that shrinks edges can break the canonical edge order and
 // create duplicates. Edges that kept their length are a subsequence of
@@ -32,12 +33,6 @@ import (
 // co-rank search (Odeh et al., IPDPSW 2012), so each shard writes
 // exactly the slots of a serial merge, and the repack is the same
 // tally/prefix-sum pattern as slot assignment.
-
-// parallelScanThreshold is the arena size above which the per-edge
-// classification, scatter and canonicalization passes are sharded over
-// the worker pool. Below it the sequential loops win (and allocate
-// nothing at all).
-const parallelScanThreshold = 1 << 14
 
 // resize returns s with length n, reallocating only when its capacity
 // is insufficient.
@@ -221,7 +216,7 @@ func (scr *RoundScratch) assignSlots(h *Hypergraph) shardTally {
 	m := len(h.edges)
 	keep, pos, split, off := scr.keep, scr.pos, scr.split, h.off
 	shards := scr.Eng.NumShards(m)
-	if m < parallelScanThreshold || shards <= 1 {
+	if m < par.MinScanWork || shards <= 1 {
 		var tot shardTally
 		for i := 0; i < m; i++ {
 			k := keep[i]
@@ -315,7 +310,7 @@ func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph
 	m := len(h.edges)
 	scr.growClassify(m)
 	keep := scr.keep
-	if len(h.verts) >= parallelScanThreshold {
+	if len(h.verts) >= par.MinScanWork {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { induceClassifyBits(h, in, keep, lo, hi) })
 	} else {
 		induceClassifyBits(h, in, keep, 0, m)
@@ -325,7 +320,7 @@ func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph
 	dst := &scr.sample
 	dst.grow(outVerts, outEdges)
 	pos := scr.pos
-	parallel := outVerts >= parallelScanThreshold
+	parallel := outVerts >= par.MinScanWork
 	if parallel {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { induceScatter(h, keep, pos, dst, lo, hi) })
 	} else {
@@ -385,7 +380,7 @@ func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *
 	keep := scr.keep
 	// Pass 1: classify every edge — dead on a red vertex, else its
 	// post-shrink size (0 = emptied).
-	if len(cur.verts) >= parallelScanThreshold {
+	if len(cur.verts) >= par.MinScanWork {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundClassifyBits(cur, red, blue, keep, lo, hi) })
 	} else {
 		roundClassifyBits(cur, red, blue, keep, 0, m)
@@ -395,7 +390,7 @@ func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *
 	dst := scr.target(cur)
 	dst.grow(outVerts, outEdges)
 	pos := scr.pos
-	parallel := outVerts >= parallelScanThreshold
+	parallel := outVerts >= par.MinScanWork
 	// Pass 2: scatter surviving vertices.
 	if parallel {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundScatterBits(cur, blue, keep, pos, dst, lo, hi) })

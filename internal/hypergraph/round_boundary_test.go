@@ -2,6 +2,8 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -9,10 +11,11 @@ import (
 )
 
 // These tests pin the sequential/sharded switchover exactly at the
-// parallelScanThreshold boundary: instances whose CSR arena holds
+// par.MinScanWork boundary: instances whose CSR arena holds
 // threshold−1, threshold, and threshold+1 vertices take different code
-// paths (the classify/scatter passes shard at ≥ threshold), and the
-// outputs must be identical on both sides, at every engine degree.
+// paths (the round pipeline's classify/scatter passes and the
+// verifier's scans shard at ≥ threshold), and the outputs must be
+// identical on both sides, at every engine degree.
 
 // boundaryInstance builds a hypergraph whose arena holds exactly
 // arenaLen vertices: size-2 edges over a large vertex universe, plus
@@ -71,7 +74,7 @@ func sameEdges(t *testing.T, label string, a, b *Hypergraph) {
 // switches from the sequential loops to the sharded passes, across
 // engine degrees 1, 2 and 8.
 func TestNextRoundParityAtScanThreshold(t *testing.T) {
-	for _, arena := range []int{parallelScanThreshold - 1, parallelScanThreshold, parallelScanThreshold + 1} {
+	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
 		h := boundaryInstance(arena)
 		red, blue := boundaryColors(h.N())
 
@@ -93,7 +96,7 @@ func TestNextRoundParityAtScanThreshold(t *testing.T) {
 // TestInduceParityAtScanThreshold does the same for the induce
 // transform against the pure Induced.
 func TestInduceParityAtScanThreshold(t *testing.T) {
-	for _, arena := range []int{parallelScanThreshold - 1, parallelScanThreshold, parallelScanThreshold + 1} {
+	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
 		h := boundaryInstance(arena)
 		in := bitset.New(h.N())
 		for v := 0; v < h.N(); v++ {
@@ -116,7 +119,7 @@ func TestInduceParityAtScanThreshold(t *testing.T) {
 // size: m = threshold ± 1 edges, verified against the pure pipeline at
 // several degrees.
 func TestAssignSlotsParityAtEdgeCountThreshold(t *testing.T) {
-	for _, m := range []int{parallelScanThreshold - 1, parallelScanThreshold, parallelScanThreshold + 1} {
+	for _, m := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
 		h := boundaryInstance(2 * m) // m size-2 edges
 		if h.M() != m {
 			t.Fatalf("instance has %d edges, want %d", h.M(), m)
@@ -197,13 +200,13 @@ func canonInstance(arena int) (h *Hypergraph, red, blue bitset.Set) {
 // TestCanonicalizeParityAtThreshold pins the sequential/sharded
 // switch-over of the canonicalization (sort the shrunk edges, merge
 // with dedupe, repack), which shards once the scattered arena reaches
-// parallelScanThreshold: instances whose round output holds threshold−1,
+// par.MinScanWork: instances whose round output holds threshold−1,
 // threshold and threshold+1 vertices, with reordering shrunk edges,
 // shrunk edges equal to unchanged ones, equal shrunk edges and
 // duplicate runs straddling merge shard boundaries, must match the pure
 // DiscardTouching→Shrink pipeline at every degree.
 func TestCanonicalizeParityAtThreshold(t *testing.T) {
-	for _, arena := range []int{parallelScanThreshold - 1, parallelScanThreshold, parallelScanThreshold + 1} {
+	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
 		h, red, blue := canonInstance(arena)
 		c := roundCases(h, red, blue)
 		if !c.reorder || !c.dupUnchanged || !c.dupShrunk || c.arena != arena {
@@ -214,7 +217,7 @@ func TestCanonicalizeParityAtThreshold(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 8} {
 			label := fmt.Sprintf("arena=%d P=%d", arena, p)
 			eng := par.Engine{P: p}
-			if shards := eng.NumShards(len(c.merged)); arena >= parallelScanThreshold && shards > 1 && !c.straddles(shards) {
+			if shards := eng.NumShards(len(c.merged)); arena >= par.MinScanWork && shards > 1 && !c.straddles(shards) {
 				t.Fatalf("%s: no duplicate run straddles the %d merge shards", label, shards)
 			}
 			scr := &RoundScratch{Eng: eng}
@@ -242,6 +245,53 @@ func sameArena(t *testing.T, label string, h *Hypergraph) {
 	for i, e := range h.edges {
 		if !equalEdge(e, h.verts[h.off[i]:h.off[i+1]]) || cap(e) != len(e) {
 			t.Fatalf("%s: edge %d header %v disagrees with the arena", label, i, e)
+		}
+	}
+}
+
+// TestVerifyMISParityAtScanThreshold pins VerifyMISOn's switchover: on
+// arenas of threshold−1, threshold and threshold+1 vertices, a valid
+// MIS, a set containing two edges and a set missing two addable
+// vertices must get the same verdict and witness at P 1 and P 4.
+func TestVerifyMISParityAtScanThreshold(t *testing.T) {
+	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
+		h := boundaryInstance(arena)
+		m := h.M()
+		if shards := (par.Engine{P: 4}).NumShards(m); shards < 2 {
+			t.Fatalf("arena=%d: %d edges give %d shards at P=4", arena, m, shards)
+		}
+		// Every vertex but the last of each edge: the edges are
+		// disjoint, so this is a maximal independent set.
+		valid := make([]bool, h.N())
+		for v := range valid {
+			valid[v] = true
+		}
+		for _, e := range h.Edges() {
+			valid[e[len(e)-1]] = false
+		}
+		contained, nonMaximal := slices.Clone(valid), slices.Clone(valid)
+		for _, i := range []int{m / 2, 3 * m / 4} {
+			e := h.Edge(i)
+			contained[e[len(e)-1]] = true
+			nonMaximal[e[0]] = false
+		}
+		for _, c := range []struct {
+			name string
+			in   []bool
+			want string // "" = no error, else a substring of it
+		}{
+			{"valid", valid, ""},
+			{"contained", contained, "not independent"},
+			{"non-maximal", nonMaximal, "not maximal"},
+		} {
+			label := fmt.Sprintf("arena=%d %s", arena, c.name)
+			ref := VerifyMISOn(h, c.in, par.Engine{P: 1})
+			if (ref == nil) != (c.want == "") || ref != nil && !strings.Contains(ref.Error(), c.want) {
+				t.Fatalf("%s: P=1 verdict %v, want %q", label, ref, c.want)
+			}
+			if got := VerifyMISOn(h, c.in, par.Engine{P: 4}); fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Fatalf("%s: P=4 verdict %v, P=1 %v", label, got, ref)
+			}
 		}
 	}
 }

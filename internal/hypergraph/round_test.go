@@ -344,7 +344,7 @@ func TestWorkingAndFusedAgainstSeedReference(t *testing.T) {
 }
 
 // TestNextRoundParallelShards forces the sharded classify/scatter paths
-// (arena above parallelScanThreshold, several workers) even on a
+// (arena above par.MinScanWork, several workers) even on a
 // single-CPU host, and checks the fused results against the pure
 // pipeline.
 func TestNextRoundParallelShards(t *testing.T) {
@@ -355,7 +355,7 @@ func TestNextRoundParallelShards(t *testing.T) {
 	for seed := 0; seed < 3; seed++ {
 		st := s.Child(uint64(seed))
 		h := RandomMixed(st, 4000, 8000, 2, 6)
-		if len(h.verts) < parallelScanThreshold {
+		if len(h.verts) < par.MinScanWork {
 			t.Fatalf("instance too small to exercise the parallel path: %d", len(h.verts))
 		}
 		red, blue := randomColors(st, h.N())

@@ -7,11 +7,6 @@ import (
 	"repro/internal/par"
 )
 
-// verifyParThreshold is the scan work (total arena vertices) above
-// which the verification passes shard over the engine; below it the
-// sequential loops win.
-const verifyParThreshold = 1 << 14
-
 // IsIndependent reports whether the vertex set {v : in[v]} contains no
 // edge of h. in must have length h.N().
 func IsIndependent(h *Hypergraph, in []bool) bool {
@@ -33,7 +28,7 @@ func firstContainedEdge(h *Hypergraph, in []bool, eng par.Engine) int {
 		return true
 	}
 	shards := eng.NumShards(m)
-	if len(h.verts) < verifyParThreshold || shards <= 1 {
+	if len(h.verts) < par.MinScanWork || shards <= 1 {
 		for i, e := range h.edges {
 			if contained(e) {
 				return i
@@ -115,7 +110,7 @@ func VerifyMISOn(h *Hypergraph, in []bool, eng par.Engine) error {
 	}
 	completes := bitset.New(h.n)
 	shards := eng.NumShards(m)
-	if len(h.verts) < verifyParThreshold {
+	if len(h.verts) < par.MinScanWork {
 		shards = 1
 	}
 	bitset.UnionShards(eng, completes, h.n, m, shards, nil, markCompletes)

@@ -38,12 +38,12 @@
 // a task channel take closures by handoff instead of a fresh goroutine
 // per pass, which amortizes spawn cost across the thousands of short
 // rounds a solve executes; the calling goroutine always acts as worker
-// 0. How many workers a pass gets is decided by the grain — minimum
-// operations per chunk — which is either the static default or, when a
-// Tuner is attached (Engine.WithTuner), learned per pass class from
-// dispatch timings and per-round wall times. None of this affects
-// results: pool, tuner, and worker count are scheduling decisions
-// only, and the block partition stays a pure function of (n, shards).
+// 0. One static rule, kept in this package, decides whether a pass
+// fans out: the primitives give each worker about defaultGrain
+// operations or more, and callers run their sharded scans inline below
+// MinScanWork. Neither affects results: pool and worker count are
+// scheduling decisions only, and the block partition stays a pure
+// function of (n, shards).
 package par
 
 import (
@@ -51,7 +51,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
+)
+
+const (
+	// defaultGrain is about the fewest elementwise operations
+	// workersFor gives each worker of a pass.
+	defaultGrain = 2048
+
+	// MinScanWork is the scan work below which callers run a sharded
+	// pass inline: the round pipeline's classify, slot-assignment,
+	// scatter and canonicalization passes, the verifier's two scans
+	// and BL's unmark pass. Each caller compares the measure it scans,
+	// arena vertices or, for slot assignment, edges. Below it the
+	// sequential loops win, and they allocate nothing.
+	MinScanWork = 1 << 14
 )
 
 // Cost accumulates work-depth charges across primitive invocations. The
@@ -129,10 +142,10 @@ func log2Ceil(n int) int64 {
 // Engine bounds the parallelism of the primitives. P is the maximum
 // number of worker goroutines; P <= 0 means runtime.GOMAXPROCS. The
 // zero value is ready to use and runs on the whole machine. Engines
-// are values: copy freely, no state is shared beyond the pool/tuner
-// they reference.
+// are values: copy freely, no state is shared beyond the pool they
+// reference.
 //
-// Results never depend on P, on which pool or tuner is attached, or on
+// Results never depend on P, on which pool is attached, or on
 // scheduling — primitives partition work without reordering it — so an
 // Engine choice is purely a scheduling decision.
 type Engine struct {
@@ -141,18 +154,6 @@ type Engine struct {
 	// pool, when set, supplies the workers for multi-worker dispatch
 	// (see Pool.Engine). nil engines dispatch onto the shared pool.
 	pool *Pool
-	// tune, when set, adapts the shard grain (see Tuner). nil engines
-	// use the static defaultGrain.
-	tune *Tuner
-}
-
-// WithTuner returns a copy of the engine whose shard grain is driven
-// by t. A nil t returns the engine unchanged.
-func (e Engine) WithTuner(t *Tuner) Engine {
-	if t != nil {
-		e.tune = t
-	}
-	return e
 }
 
 // Procs returns the engine's parallelism bound.
@@ -165,9 +166,7 @@ func (e Engine) Procs() int {
 
 // workersFor returns the number of workers to use for n items whose
 // per-item cost is roughly perItem elementwise operations. Workers are
-// capped so each processes at least ~grain operations, where the grain
-// is the tuner's current estimate for the pass class (or the static
-// default without a tuner).
+// capped so each processes at least ~defaultGrain operations.
 func (e Engine) workersFor(n, perItem int) int {
 	w := e.Procs()
 	if w <= 1 {
@@ -176,10 +175,9 @@ func (e Engine) workersFor(n, perItem int) int {
 	if perItem < 1 {
 		perItem = 1
 	}
-	grain := e.tune.grainFor(classOf(perItem))
 	minPer := 1
-	if perItem < grain {
-		minPer = grain / perItem
+	if perItem < defaultGrain {
+		minPer = defaultGrain / perItem
 	}
 	if max := (n + minPer - 1) / minPer; w > max {
 		w = max
@@ -220,20 +218,6 @@ func sharedPool() *Pool {
 	return shared
 }
 
-// timed is dispatch plus tuner feedback: when a tuner is attached and
-// the pass is large enough to time meaningfully, the measured wall
-// time is folded into the pass class's ns/op estimate.
-func (e Engine) timed(n, perItem, w int, body func(g int)) {
-	ops := int64(n) * int64(perItem)
-	if e.tune == nil || ops < measureFloor {
-		e.dispatch(w, body)
-		return
-	}
-	start := time.Now()
-	e.dispatch(w, body)
-	e.tune.observe(classOf(perItem), ops, time.Since(start).Nanoseconds(), w)
-}
-
 // NumShards returns the recommended number of blocks for ForShards
 // over n elementwise items — the same worker count the other
 // primitives use. Callers size their per-shard accumulator slices with
@@ -259,7 +243,7 @@ func (e Engine) For(c *Cost, n int, body func(i int)) {
 		}
 		return
 	}
-	e.timed(n, 1, w, func(g int) {
+	e.dispatch(w, func(g int) {
 		blocks(n, w, g, w, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				body(i)
@@ -333,7 +317,7 @@ func (e Engine) runShards(n, perItem, shards int, body func(shard, lo, hi int)) 
 		blocks(n, shards, 0, 1, body)
 		return
 	}
-	e.timed(n, perItem, w, func(g int) { blocks(n, shards, g, w, body) })
+	e.dispatch(w, func(g int) { blocks(n, shards, g, w, body) })
 }
 
 // blocks invokes body on the non-empty blocks g, g+stride, g+2·stride, …
@@ -367,7 +351,7 @@ func ReduceOn[T any](e Engine, c *Cost, in []T, id T, op func(a, b T) T) T {
 	for s := range partial {
 		partial[s] = id
 	}
-	e.timed(n, 1, shards, func(g int) {
+	e.dispatch(shards, func(g int) {
 		blocks(n, shards, g, shards, func(s, lo, hi int) {
 			acc := id
 			for _, v := range in[lo:hi] {

@@ -71,21 +71,22 @@ func TestReduceEmpty(t *testing.T) {
 	if got := ReduceOn(Engine{}, nil, []int(nil), -7, maxOf); got != -7 {
 		t.Fatalf("max of empty = %d, want identity -7", got)
 	}
-	// At the minimum grain, 300 shards over 76801 items are 257 long, so
-	// the last block is empty; a zero partial would beat every input.
-	tu := NewTuner()
-	tu.observe(classElem, 1, 1<<30, 1)
-	e := Engine{P: 300}.WithTuner(tu)
-	n := 300*minGrain + 1
+	// 4096 shards over 4096·defaultGrain + 1 items are defaultGrain + 1
+	// long, so the last block is empty; a zero partial would beat every
+	// input. P only bounds the worker count: the shared pool still runs
+	// the blocks on its NumCPU workers.
+	e := Engine{P: 4096}
+	n := 4096*defaultGrain + 1
 	shards := e.NumShards(n)
 	if (shards-1)*BlockLen(n, shards) < n {
 		t.Fatalf("%d shards over %d items leave no block empty", shards, n)
 	}
-	in := make([]int, n)
+	in := make([]int16, n)
 	for i := range in {
-		in[i] = -1 - i%1000
+		in[i] = int16(-1 - i%1000)
 	}
-	if got := ReduceOn(e, nil, in, math.MinInt, maxOf); got != -1 {
+	maxOf16 := func(a, b int16) int16 { return max(a, b) }
+	if got := ReduceOn(e, nil, in, math.MinInt16, maxOf16); got != -1 {
 		t.Fatalf("max with empty trailing blocks = %d, want -1", got)
 	}
 }

@@ -38,7 +38,7 @@ func TestPoolEngineDeterminism(t *testing.T) {
 	in := determinismInput()
 	ref := primitiveOutputs(Engine{P: 1}, in)
 	for _, deg := range []int{1, 2, 3, 8, 64} {
-		e := p.Engine(deg).WithTuner(NewTuner())
+		e := p.Engine(deg)
 		requireSameOutputs(t, fmt.Sprintf("deg=%d", deg), primitiveOutputs(e, in), ref)
 	}
 }
@@ -63,7 +63,7 @@ func TestPoolSharedByConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func(deg int) {
 			defer wg.Done()
-			e := p.Engine(deg).WithTuner(NewTuner())
+			e := p.Engine(deg)
 			for iter := 0; iter < 30; iter++ {
 				if got := ReduceOn(e, nil, in, 0, sum); got != want {
 					errs <- got
@@ -149,78 +149,5 @@ func TestPoolStatsCounters(t *testing.T) {
 	}
 	if st.Busy != 0 {
 		t.Fatalf("busy gauge stuck at %d", st.Busy)
-	}
-}
-
-// TestTunerGrainFromSamples: the grain tracks learned ns/op — cheap ops
-// push it up from the default, expensive ops pull it down — and stays
-// clamped.
-func TestTunerGrainFromSamples(t *testing.T) {
-	tu := NewTuner()
-	if g := tu.grainFor(classElem); g != defaultGrain {
-		t.Fatalf("no-sample grain %d want %d", g, defaultGrain)
-	}
-	// ~0.5ns/op elementwise work: grain should rise well above default.
-	for i := 0; i < 20; i++ {
-		tu.observe(classElem, 1_000_000, 500_000, 1)
-	}
-	if g := tu.grainFor(classElem); g <= defaultGrain {
-		t.Fatalf("cheap-op grain %d, want > %d", g, defaultGrain)
-	}
-	// ~1µs/op heavy work in a different class: grain collapses to min.
-	for i := 0; i < 20; i++ {
-		tu.observe(classHeavy, 10_000, 10_000_000, 1)
-	}
-	if g := tu.grainFor(classHeavy); g != minGrain {
-		t.Fatalf("heavy-op grain %d want %d", g, minGrain)
-	}
-	// Classes are independent.
-	if g := tu.grainFor(classElem); g <= defaultGrain {
-		t.Fatalf("classElem grain disturbed: %d", g)
-	}
-	// nil tuner is always the default.
-	var nilT *Tuner
-	if g := nilT.grainFor(classMid); g != defaultGrain {
-		t.Fatalf("nil tuner grain %d", g)
-	}
-}
-
-// TestTunerShortRoundCollapse: a streak of short rounds collapses
-// dispatch to serial; one long round restores it.
-func TestTunerShortRoundCollapse(t *testing.T) {
-	tu := NewTuner()
-	e := Engine{P: 8}.WithTuner(tu)
-	n := 1 << 20
-	if w := e.workersFor(n, 1); w <= 1 {
-		t.Fatalf("pre-collapse workers %d", w)
-	}
-	for i := 0; i < shortRoundStreak; i++ {
-		tu.ObserveRound(10 * time.Microsecond)
-	}
-	if !tu.Collapsed() {
-		t.Fatal("not collapsed after short-round streak")
-	}
-	if w := e.workersFor(n, 1); w != 1 {
-		t.Fatalf("collapsed workers %d want 1", w)
-	}
-	tu.ObserveRound(50 * time.Millisecond)
-	if tu.Collapsed() {
-		t.Fatal("long round did not reset the streak")
-	}
-	if w := e.workersFor(n, 1); w <= 1 {
-		t.Fatalf("post-reset workers %d", w)
-	}
-	if tu.Rounds() != shortRoundStreak+1 {
-		t.Fatalf("rounds %d", tu.Rounds())
-	}
-}
-
-// TestClassOf pins the pass-class bucketing.
-func TestClassOf(t *testing.T) {
-	cases := map[int]int{0: classElem, 1: classElem, 2: classMid, 63: classMid, 64: classHeavy, 4096: classHeavy}
-	for perItem, want := range cases {
-		if got := classOf(perItem); got != want {
-			t.Fatalf("classOf(%d)=%d want %d", perItem, got, want)
-		}
 	}
 }

@@ -275,9 +275,8 @@ type Stats struct {
 	// pool size, workers running a pass right now, cumulative pass
 	// handoffs to parked workers, and multi-worker passes that found no
 	// parked worker and ran inline on the dispatcher. A rising inline
-	// share under load means the pool is undersized — or the grain
-	// autotuner is collapsing short rounds to serial, which is the
-	// intended endgame behavior.
+	// share under load means the pool is undersized. Passes sized to
+	// one worker never reach the pool and count in neither.
 	ParPoolWorkers int   `json:"par_pool_workers"`
 	ParWorkersBusy int64 `json:"par_workers_busy"`
 	ParHandoffs    int64 `json:"par_handoffs_total"`

@@ -216,18 +216,12 @@ func SolveCtx(ctx context.Context, h *Hypergraph, opts Options) (*Result, error)
 	}
 	observer = solver.Tee(observer, solver.RoundObserver(opts.RoundObserver))
 
-	// Parallel runs dispatch onto a persistent pool (the caller's, or
-	// the process-wide one) and attach a fresh grain autotuner fed by
-	// the per-round wall times the Loop driver already records. Neither
-	// changes results — see Options.Parallelism.
+	// Parallel passes dispatch onto a persistent pool: the caller's, or
+	// the process-wide one. The pool never changes results — see
+	// Options.Parallelism.
 	eng := par.Engine{P: opts.Parallelism}
-	if eng.Procs() > 1 {
-		if opts.ParPool != nil {
-			eng = opts.ParPool.Engine(opts.Parallelism)
-		}
-		tuner := par.NewTuner()
-		eng = eng.WithTuner(tuner)
-		observer = solver.Tee(observer, func(r solver.Round) { tuner.ObserveRound(r.Elapsed) })
+	if opts.ParPool != nil {
+		eng = opts.ParPool.Engine(opts.Parallelism)
 	}
 
 	out, err := desc.Solve(solver.Request{
