@@ -99,7 +99,7 @@ type Options struct {
 type RoundStat struct {
 	Round      int     // 0-based round index
 	Undecided  int     // undecided vertices entering the round (n_i)
-	Edges      int     // residual edges entering the round
+	Edges      int     // residual edges entering the round, counting repeats
 	Sampled    int     // |V'|
 	SampledDim int     // dimension of H' (after retries)
 	SampledM   int     // edges of H'
@@ -242,7 +242,10 @@ func runOnce(h *hypergraph.Hypergraph, s *rng.Stream, cost *par.Cost, opts Optio
 	undecided := ws.Bits(0)
 	undecided.SetAll(n)
 	par.ChargeStep(cost, n)
-	cur := h
+	// The residual is an edge multiset: the rounds never sort it or drop
+	// repeats (see hypergraph.NextResidual); only H′ is made canonical,
+	// because only BL reads it as a simple hypergraph.
+	cur := h.Residual()
 	// sampled is kept both packed (for the induce/commit word passes)
 	// and as a mask (the BL subroutine's active-set contract).
 	sampled := ws.Bits(1)
@@ -318,7 +321,7 @@ func runOnce(h *hypergraph.Hypergraph, s *rng.Stream, cost *par.Cost, opts Optio
 			par.ChargeStep(cost, n)
 			sampledCount = sampled.Count()
 			par.ChargeReduce(cost, n)
-			sub = hypergraph.InduceIntoBits(cur, sampled, scratch)
+			sub = hypergraph.InduceIntoBits(cur, sampled, scratch, cost)
 			par.ChargeStep(cost, cur.M())
 			if sub.Dim() <= params.D {
 				break
@@ -374,9 +377,9 @@ func runOnce(h *hypergraph.Hypergraph, s *rng.Stream, cost *par.Cost, opts Optio
 
 		// Lines 13–20, fused: drop edges meeting a red vertex and shrink
 		// the survivors by I' in one pass into the scratch's other
-		// buffer (NextRoundBits is edge-set-identical to
+		// buffer (NextResidual's distinct edges are exactly those of
 		// DiscardTouching → Shrink; property-tested).
-		next, emptied := hypergraph.NextRoundBits(cur, redBits, blueBits, scratch, cost)
+		next, emptied := hypergraph.NextResidual(cur, redBits, blueBits, scratch, cost)
 		if emptied > 0 {
 			return nil, fmt.Errorf("sbl: %d edges became fully blue at round %d (independence broken)", emptied, round)
 		}
@@ -403,7 +406,10 @@ func runOnce(h *hypergraph.Hypergraph, s *rng.Stream, cost *par.Cost, opts Optio
 	undecided.WriteBools(undecidedMask)
 	switch opts.Tail {
 	case TailGreedy:
-		g := greedy.RunIn(cur, undecidedMask, ws.Sub())
+		// Greedy reads a canonical hypergraph. Every residual edge lies
+		// inside the undecided set, so inducing on it canonicalizes the
+		// whole residual; the charge below covers the sequential tail.
+		g := greedy.RunIn(hypergraph.InduceIntoBits(cur, undecided, scratch, nil), undecidedMask, ws.Sub())
 		for v := 0; v < n; v++ {
 			if g.InIS[v] {
 				res.InIS[v] = true
@@ -411,7 +417,7 @@ func runOnce(h *hypergraph.Hypergraph, s *rng.Stream, cost *par.Cost, opts Optio
 		}
 		par.ChargeAux(cost, int64(res.TailSize), int64(res.TailSize))
 	default:
-		k, err := kuw.Run(cur, undecidedMask, s.Child(2_000_003), cost, kuw.Options{Ctx: opts.Ctx, Par: eng, Ws: ws.Sub()})
+		k, err := kuw.RunResidual(cur, undecidedMask, s.Child(2_000_003), cost, kuw.Options{Ctx: opts.Ctx, Par: eng, Ws: ws.Sub()})
 		if err != nil {
 			return nil, fmt.Errorf("sbl: KUW tail: %w", err)
 		}

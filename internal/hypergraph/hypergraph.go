@@ -25,7 +25,15 @@
 // Edges are kept in canonical order (lexicographically sorted,
 // deduplicated, each edge internally sorted and strictly increasing),
 // so edge i < edge i+1 under lessEdge and binary search over the edge
-// list is valid.
+// list is valid. A Hypergraph always keeps that promise.
+//
+// A Residual is the same CSR arena without the promise or the headers:
+// an edge multiset, each edge still sorted and strictly increasing, but
+// the edges in no order and possibly repeated. It is the residual
+// instance SBL's and KUW's round loops carry, because their rounds
+// never need the order; Hypergraph.Residual views a Hypergraph as one,
+// and InduceIntoBits turns the part BL reads back into a canonical
+// Hypergraph (see round.go).
 //
 // Ownership rules: a Hypergraph and everything reachable from Edges()
 // is immutable after construction — callers must never write through
@@ -56,12 +64,47 @@ type Edge []V
 // the generator functions; algorithms never mutate a Hypergraph in
 // place.
 type Hypergraph struct {
+	csr          // n, dim and the CSR arena; Residual views it
+	edges []Edge // cached headers into verts, canonical order
+}
+
+// Residual is an edge multiset in CSR form, the residual instance the
+// SBL and KUW round loops carry: each edge is sorted and strictly
+// increasing, but the edges are in no order and may repeat, and there
+// are no Edge headers. Only the round pipeline produces one (see
+// NextResidual); a Hypergraph's canonical edge list is a valid
+// multiset, so Hypergraph.Residual views one without a copy.
+type Residual struct {
 	n     int
 	dim   int
 	verts []V     // CSR arena: all edges' vertices, back to back
-	off   []int32 // len(edges)+1; edge i is verts[off[i]:off[i+1]]
-	edges []Edge  // cached headers into verts, canonical order
+	off   []int32 // len M()+1; edge i is verts[off[i]:off[i+1]]
 }
+
+// csr names the Residual a Hypergraph embeds, keeping the field
+// unexported.
+type csr = Residual
+
+// Residual returns h's edges as a Residual, sharing h's arena.
+func (h *Hypergraph) Residual() *Residual { return &h.csr }
+
+// N returns the number of vertices.
+func (r *Residual) N() int { return r.n }
+
+// M returns the number of edges, counting repeats (a Hypergraph has
+// none).
+func (r *Residual) M() int { return max(len(r.off)-1, 0) }
+
+// Dim returns the dimension (maximum edge size); 0 if there are no edges.
+func (r *Residual) Dim() int { return r.dim }
+
+// ArenaLen returns the total number of vertex slots over all edges (the
+// CSR arena length) — the cost of one full edge-list pass, which the
+// solvers use to decide whether a pass is worth sharding.
+func (r *Residual) ArenaLen() int { return len(r.verts) }
+
+// Edge returns edge i. Callers must not mutate it.
+func (r *Residual) Edge(i int) Edge { return r.verts[r.off[i]:r.off[i+1]:r.off[i+1]] }
 
 // packCanon copies an already-canonical edge list (each edge sorted and
 // strictly increasing, list lex-sorted and deduplicated) into a fresh
@@ -83,7 +126,7 @@ func packCanon(n int, canon []Edge) *Hypergraph {
 		pos += len(e)
 	}
 	off[len(canon)] = int32(total)
-	return &Hypergraph{n: n, dim: dim, verts: verts, off: off, edges: edgeHeaders(verts, off)}
+	return &Hypergraph{csr{n: n, dim: dim, verts: verts, off: off}, edgeHeaders(verts, off)}
 }
 
 // edgeHeaders returns the Edge headers of a CSR arena, each capped at
@@ -273,11 +316,34 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	if len(off) == 0 {
 		off = []int32{0}
 	}
-	edges := edgeHeaders(b.verts, off)
 	if b.unsorted {
-		return packCanon(b.n, dedupEdges(edges)), nil
+		return packSorted(b.n, b.dim, b.verts, off), nil
 	}
-	return &Hypergraph{n: b.n, dim: b.dim, verts: b.verts, off: off, edges: edges}, nil
+	return &Hypergraph{csr{n: b.n, dim: b.dim, verts: b.verts, off: off}, edgeHeaders(b.verts, off)}, nil
+}
+
+// packSorted copies the edges of a CSR arena, each already canonical,
+// into a fresh canonical hypergraph of dimension dim: it sorts an index
+// over the edges, drops duplicates, and packs every distinct edge once.
+func packSorted(n, dim int, verts []V, off []int32) *Hypergraph {
+	idx := make([]int32, len(off)-1)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sortByEdge(verts, off, idx)
+	edge := func(x int32) Edge { return verts[off[x]:off[x+1]] }
+	idx = slices.CompactFunc(idx, func(x, y int32) bool { return slices.Equal(edge(x), edge(y)) })
+	total := 0
+	for _, x := range idx {
+		total += len(edge(x))
+	}
+	packed := make([]V, 0, total)
+	packedOff := make([]int32, 1, len(idx)+1)
+	for _, x := range idx {
+		packed = append(packed, edge(x)...)
+		packedOff = append(packedOff, int32(len(packed)))
+	}
+	return &Hypergraph{csr{n: n, dim: dim, verts: packed, off: packedOff}, edgeHeaders(packed, packedOff)}
 }
 
 // sortEdge sorts a vertex slice ascending. Small edges (the common
@@ -345,25 +411,8 @@ func FromEdges(n int, edges []Edge) (*Hypergraph, error) {
 	return b.Build()
 }
 
-// N returns the number of vertices.
-func (h *Hypergraph) N() int { return h.n }
-
-// M returns the number of edges.
-func (h *Hypergraph) M() int { return len(h.edges) }
-
-// Dim returns the dimension (maximum edge size); 0 if there are no edges.
-func (h *Hypergraph) Dim() int { return h.dim }
-
 // Edges returns the canonical edge list. Callers must not mutate it.
 func (h *Hypergraph) Edges() []Edge { return h.edges }
-
-// ArenaLen returns the total number of vertex slots over all edges (the
-// CSR arena length) — the cost of one full edge-list pass, which the
-// solvers use to decide whether a pass is worth sharding.
-func (h *Hypergraph) ArenaLen() int { return len(h.verts) }
-
-// Edge returns the i-th canonical edge. Callers must not mutate it.
-func (h *Hypergraph) Edge(i int) Edge { return h.edges[i] }
 
 // HasEdge reports whether the exact edge (as a vertex set) is present.
 // The canonical edge list is lex-sorted, so this is a binary search:
@@ -453,7 +502,7 @@ func (h *Hypergraph) String() string {
 func (h *Hypergraph) Clone() *Hypergraph {
 	verts := append([]V(nil), h.verts...)
 	off := append([]int32(nil), h.off...)
-	return &Hypergraph{n: h.n, dim: h.dim, verts: verts, off: off, edges: edgeHeaders(verts, off)}
+	return &Hypergraph{csr{n: h.n, dim: h.dim, verts: verts, off: off}, edgeHeaders(verts, off)}
 }
 
 // ContainsSorted reports whether sorted edge e contains sorted subset x.

@@ -15,6 +15,14 @@ import (
 // once the buffers are warm. Results are edge-set-identical to the pure
 // pipeline in ops.go (property-tested in round_test.go).
 //
+// SBL's and KUW's loops carry a Residual (an edge multiset), since no
+// step of theirs needs the edges ordered or distinct; NextResidual
+// leaves them as the scatter wrote them. Only BL reads a canonical
+// Hypergraph, so InduceIntoBits canonicalizes just the sampled H′, a
+// few hundred edges a round, and BL's NextRoundBits its own output.
+// Both round kinds run the same classify, slot-assignment and scatter
+// passes.
+//
 // Every pass is sharded over the scratch's engine when its scan reaches
 // par.MinScanWork (arena vertices; edges for slot assignment), and runs
 // inline below it: classification and scatter split the edge list into
@@ -23,16 +31,14 @@ import (
 // the output arenas — are bit-identical to the sequential scan for any
 // worker count.
 //
-// A round that shrinks edges can break the canonical edge order and
-// create duplicates. Edges that kept their length are a subsequence of
-// the canonical input, so they are still sorted and distinct; only the
-// shrunk ones need sorting. Canonicalization therefore sorts the shrunk
-// edges (per-shard sorts merged pairwise), merges them with the
-// unchanged ones while dropping duplicates, and repacks the arena once
-// in merged order. Every merge is cut into equal shards by Merge Path
-// co-rank search (Odeh et al., IPDPSW 2012), so each shard writes
-// exactly the slots of a serial merge, and the repack is the same
-// tally/prefix-sum pattern as slot assignment.
+// Canonicalization sorts the edges that may be out of place (per-shard
+// sorts merged pairwise: the shrunk ones after a round, all of H′ after
+// an induce), merges them with the ones known to be in order while
+// dropping duplicates, and repacks the arena once in merged order.
+// Every merge is cut into equal shards by Merge Path co-rank search
+// (Odeh et al., IPDPSW 2012), so each shard writes exactly the slots of
+// a serial merge, and the repack is the same tally/prefix-sum pattern
+// as slot assignment.
 
 // resize returns s with length n, reallocating only when its capacity
 // is insufficient.
@@ -44,7 +50,8 @@ func resize[T any](s []T, n int) []T {
 }
 
 // csrBuf is one reusable CSR arena plus the Hypergraph header served
-// from it.
+// from it; a Residual served from it is that header's embedded one.
+// Only canonical output fills the edge headers.
 type csrBuf struct {
 	verts []V
 	off   []int32
@@ -52,12 +59,11 @@ type csrBuf struct {
 	hg    Hypergraph
 }
 
-// grow reslices the buffer's arrays to the requested sizes, reallocating
-// only when capacity is insufficient.
+// grow reslices the arena and offsets to the requested sizes,
+// reallocating only when capacity is insufficient.
 func (b *csrBuf) grow(nVerts, nEdges int) {
 	b.verts = resize(b.verts, nVerts)
 	b.off = resize(b.off, nEdges+1)
-	b.edges = resize(b.edges, nEdges)
 }
 
 // edge returns edge j of the arena, read through off (the headers are
@@ -71,21 +77,29 @@ func (b *csrBuf) setEdges(lo, hi int) {
 	}
 }
 
+// residual installs the Residual header over the buffer's arena.
+func (b *csrBuf) residual(n, dim int) *Residual {
+	b.hg = Hypergraph{csr: csr{n: n, dim: dim, verts: b.verts, off: b.off}}
+	return &b.hg.csr
+}
+
 // finish installs the Hypergraph header over the buffer's arrays.
 func (b *csrBuf) finish(n, dim int) *Hypergraph {
-	b.hg = Hypergraph{n: n, dim: dim, verts: b.verts, off: b.off, edges: b.edges}
+	b.residual(n, dim)
+	b.hg.edges = b.edges
 	return &b.hg
 }
 
 // RoundScratch holds the reusable arenas of the fused round pipeline.
-// NextRoundBits double-buffers through ring: each call writes the
-// buffer the input does not occupy, so the result of call k is valid
-// exactly until call k+2 — callers thread `cur = NextRoundBits(cur, …)`
-// and must not retain older rounds (Clone what must survive).
-// InduceIntoBits has a dedicated buffer, overwritten by the next
-// InduceIntoBits only, so an induced sub-hypergraph stays valid across
-// interleaved NextRoundBits calls. The zero value is ready to use; a
-// RoundScratch must not be shared between concurrent solvers.
+// NextResidual and NextRoundBits double-buffer through ring: each call
+// writes the buffer the input does not occupy, so the result of call k
+// is valid exactly until call k+2 — callers thread
+// `cur = NextResidual(cur, …)` and must not retain older rounds (Clone
+// what must survive). InduceIntoBits has a dedicated buffer,
+// overwritten by the next InduceIntoBits only, so an induced
+// sub-hypergraph stays valid across interleaved rounds. The zero value
+// is ready to use; a RoundScratch must not be shared between concurrent
+// solvers.
 //
 // Eng bounds the parallelism of the sharded passes (zero value = whole
 // machine, on the shared pool); outputs are bit-identical for any
@@ -105,6 +119,7 @@ type RoundScratch struct {
 	pos []int32
 	// Output edge indices: the unchanged edges ascending at the front,
 	// the shrunk ones at the back (ascending before the sort).
+	// Induction shrinks nothing, so it lists every output edge in order.
 	split []int32
 	// Arena and offsets canonicalization repacks into; swapped with the
 	// output's, so the old ones become the next round's spill.
@@ -155,11 +170,11 @@ func (scr *RoundScratch) Poison() {
 	}
 }
 
-// target returns the ring buffer NextRoundBits may write: the one cur
-// does not occupy.
-func (scr *RoundScratch) target(cur *Hypergraph) *csrBuf {
+// target returns the ring buffer a round may write: the one cur does
+// not occupy.
+func (scr *RoundScratch) target(cur *Residual) *csrBuf {
 	idx := scr.ringIdx
-	if cur == &scr.ring[idx].hg {
+	if cur == &scr.ring[idx].hg.csr {
 		idx = 1 - idx
 	}
 	scr.ringIdx = idx
@@ -206,14 +221,14 @@ func scanTallies(t []shardTally) shardTally {
 // post-transform size; 0 counts as emptied and is demoted to −1) into
 // output slot assignments: keep[i] becomes the output edge index and
 // pos[i] the output arena offset for every surviving edge. It also
-// splits the output edges by whether they shrank (size below the input
-// edge h.edges[i]): split[:edges−shrunk] lists the unchanged ones and
+// splits the output edges by whether they shrank (size below input
+// edge i): split[:edges−shrunk] lists the unchanged ones and
 // split[m−shrunk:m] the shrunk ones, both ascending. It returns the
 // output totals. Large edge lists run as per-shard tallies plus an
 // exact prefix sum over the shards, which assigns the same slots as
 // the sequential scan for any worker count.
-func (scr *RoundScratch) assignSlots(h *Hypergraph) shardTally {
-	m := len(h.edges)
+func (scr *RoundScratch) assignSlots(h *Residual) shardTally {
+	m := h.M()
 	keep, pos, split, off := scr.keep, scr.pos, scr.split, h.off
 	shards := scr.Eng.NumShards(m)
 	if m < par.MinScanWork || shards <= 1 {
@@ -289,25 +304,37 @@ func (scr *RoundScratch) assignSlots(h *Hypergraph) shardTally {
 	return tot
 }
 
-// buildHeaders builds all of dst's edge headers, sharded when the arena
-// is large.
-func (scr *RoundScratch) buildHeaders(dst *csrBuf, parallel bool) {
-	if parallel {
+// canonical finishes dst as a canonical Hypergraph on n vertices of
+// dimension dim, given its edges as two ascending index lists: sorted,
+// in canonical order and distinct, and unsorted, possibly out of place.
+// When one of unsorted is, it canonicalizes (tmp is the sort's merge
+// buffer) and charges the sort and merge to c; otherwise it only builds
+// the edge headers, sharded when the arena is large.
+func (scr *RoundScratch) canonical(dst *csrBuf, sorted, unsorted, tmp []int32, n, dim int, c *par.Cost) *Hypergraph {
+	dst.edges = resize(dst.edges, len(dst.off)-1)
+	switch {
+	case len(unsorted) > 0 && !shrunkInOrder(dst, unsorted):
+		scr.canonicalize(dst, sorted, unsorted, tmp)
+		par.ChargeSortMerge(c, len(unsorted), len(sorted)+len(unsorted))
+	case len(dst.verts) >= par.MinScanWork:
 		scr.Eng.ForBlocked(nil, len(dst.edges), dst.setEdges)
-	} else {
+	default:
 		dst.setEdges(0, len(dst.edges))
 	}
+	return dst.finish(n, dim)
 }
 
 // InduceIntoBits is Induced on scratch storage, with the induced set
-// given as a bitset: it returns the sub-hypergraph of h restricted to
-// edges fully inside in, built in the scratch's dedicated sample
-// buffer. The result is valid until the next InduceIntoBits call on
-// the same scratch and must not be retained beyond it. h must not
-// itself be the previous InduceIntoBits result. Induction never
-// shrinks an edge, so the result is canonical as scattered.
-func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph {
-	m := len(h.edges)
+// given as a bitset: it returns the canonical sub-hypergraph of h's
+// edges that lie fully inside in, built in the scratch's dedicated
+// sample buffer. The result is valid until the next InduceIntoBits call
+// on the same scratch and must not be retained beyond it. h must not
+// itself view the previous InduceIntoBits result. Induction never
+// shrinks an edge, so the induced edges are sorted and deduplicated,
+// and the sort charged to c, only when they are not already strictly
+// increasing, as they are from a canonical Hypergraph's view.
+func InduceIntoBits(h *Residual, in bitset.Set, scr *RoundScratch, c *par.Cost) *Hypergraph {
+	m := h.M()
 	scr.growClassify(m)
 	keep := scr.keep
 	if len(h.verts) >= par.MinScanWork {
@@ -320,24 +347,22 @@ func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph
 	dst := &scr.sample
 	dst.grow(outVerts, outEdges)
 	pos := scr.pos
-	parallel := outVerts >= par.MinScanWork
-	if parallel {
+	if outVerts >= par.MinScanWork {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { induceScatter(h, keep, pos, dst, lo, hi) })
 	} else {
 		induceScatter(h, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
-	scr.buildHeaders(dst, parallel)
-	return dst.finish(h.n, int(tot.dim))
+	return scr.canonical(dst, nil, scr.split[:outEdges], pos[:outEdges], h.n, int(tot.dim), c)
 }
 
 // induceClassifyBits marks edges [lo, hi): keep[i] = the edge's size if
 // it lies fully inside the induced set, else -1.
-func induceClassifyBits(h *Hypergraph, in bitset.Set, keep []int32, lo, hi int) {
+func induceClassifyBits(h *Residual, in bitset.Set, keep []int32, lo, hi int) {
+	off, verts := h.off, h.verts
 	for i := lo; i < hi; i++ {
-		e := h.edges[i]
-		keep[i] = int32(len(e))
-		for _, v := range e {
+		keep[i] = off[i+1] - off[i]
+		for _, v := range verts[off[i]:off[i+1]] {
 			if !in.Has(int(v)) {
 				keep[i] = -1
 				break
@@ -348,34 +373,26 @@ func induceClassifyBits(h *Hypergraph, in bitset.Set, keep []int32, lo, hi int) 
 
 // induceScatter copies surviving edges of [lo, hi) into their assigned
 // arena slots.
-func induceScatter(h *Hypergraph, keep, pos []int32, dst *csrBuf, lo, hi int) {
+func induceScatter(h *Residual, keep, pos []int32, dst *csrBuf, lo, hi int) {
+	off, verts := h.off, h.verts
 	for i := lo; i < hi; i++ {
 		if keep[i] < 0 {
 			continue
 		}
 		dst.off[keep[i]] = pos[i]
-		copy(dst.verts[pos[i]:], h.edges[i])
+		copy(dst.verts[pos[i]:], verts[off[i]:off[i+1]])
 	}
 }
 
-// NextRoundBits applies one fused solver round to cur: edges touching a
-// red vertex die (DiscardTouching), surviving edges shrink by the blue
-// vertices (Shrink), and the result is restored to canonical order — in
-// passes over the CSR arena into the scratch's other ring buffer. A nil
-// red set means no vertex is red (the BL stages); blue must be non-nil
-// and disjoint from red. The second return value counts edges that
-// became empty (fully blue), an independence violation for a correct
-// pipeline. It charges the round's idealized PRAM cost to c: one
-// elementwise step for classify and scatter, plus the sort and merge of
-// canonicalization when it runs. The sequential path calls every pass
-// directly, so a warm round allocates nothing.
-//
-// The returned hypergraph occupies scratch storage: it is valid until
-// the next-but-one NextRoundBits call on the same scratch (double
-// buffering), so callers thread it as the next round's cur and never
-// retain older rounds.
-func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Hypergraph, int) {
-	m := len(cur.edges)
+// round runs the passes every round shares on cur — classify, slot
+// assignment, scatter — into the ring buffer cur does not occupy: edges
+// touching a red vertex die (DiscardTouching) and surviving edges
+// shrink by the blue vertices (Shrink). A nil red set means no vertex
+// is red (the BL stages); blue must be non-nil and disjoint from red.
+// It charges one elementwise step over cur's edges to c and returns the
+// output buffer with the output totals.
+func (scr *RoundScratch) round(cur *Residual, red, blue bitset.Set, c *par.Cost) (*csrBuf, shardTally) {
+	m := cur.M()
 	scr.growClassify(m)
 	keep := scr.keep
 	// Pass 1: classify every edge — dead on a red vertex, else its
@@ -386,39 +403,58 @@ func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *
 		roundClassifyBits(cur, red, blue, keep, 0, m)
 	}
 	tot := scr.assignSlots(cur)
-	outEdges, outVerts, shrunk := int(tot.edges), int(tot.verts), int(tot.shrunk)
+	outEdges, outVerts := int(tot.edges), int(tot.verts)
 	dst := scr.target(cur)
 	dst.grow(outVerts, outEdges)
 	pos := scr.pos
-	parallel := outVerts >= par.MinScanWork
 	// Pass 2: scatter surviving vertices.
-	if parallel {
+	if outVerts >= par.MinScanWork {
 		scr.Eng.ForBlocked(nil, m, func(lo, hi int) { roundScatterBits(cur, blue, keep, pos, dst, lo, hi) })
 	} else {
 		roundScatterBits(cur, blue, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
 	par.ChargeStep(c, m)
-	// Pass 3: unchanged edges are still in canonical order, so only a
-	// shrunk edge can be out of place or a duplicate; when one is,
-	// canonicalize (which builds the edge headers as it repacks).
-	if shrunk > 0 && !shrunkInOrder(dst, scr.split[m-shrunk:]) {
-		scr.canonicalize(dst, m, shrunk, parallel)
-		par.ChargeSortMerge(c, shrunk, outEdges)
-	} else {
-		scr.buildHeaders(dst, parallel)
-	}
-	return dst.finish(cur.n, int(tot.dim)), int(tot.emptied)
+	return dst, tot
+}
+
+// NextResidual applies one fused solver round to the multiset cur (see
+// round) and leaves the survivors in scatter order, repeats and all.
+// The second return value counts edges that became empty (fully blue),
+// an independence violation for a correct pipeline. Which edges die,
+// how far each shrinks, whether one empties and the dimension are
+// per-edge facts, so the distinct edges of the result are exactly the
+// canonical pipeline's. The sequential path calls every pass directly,
+// so a warm round allocates nothing. The result occupies scratch
+// storage and is valid until the next-but-one round on the same
+// scratch (double buffering): callers thread it as the next round's
+// cur and never retain older rounds.
+func NextResidual(cur *Residual, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Residual, int) {
+	dst, tot := scr.round(cur, red, blue, c)
+	return dst.residual(cur.n, int(tot.dim)), int(tot.emptied)
+}
+
+// NextRoundBits is the round of NextResidual on a canonical Hypergraph,
+// with the result restored to canonical order; BL's stages run it. Only
+// a shrunk edge can be out of place or a duplicate, since the unchanged
+// ones are a subsequence of the canonical input, so when one is, it
+// sorts the shrunk edges, merges them in and repacks, and charges that
+// sort and merge to c as well.
+func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Hypergraph, int) {
+	dst, tot := scr.round(&cur.csr, red, blue, c)
+	m, L, k := cur.M(), int(tot.edges), int(tot.shrunk)
+	return scr.canonical(dst, scr.split[:L-k], scr.split[m-k:m], scr.pos[m-k:m], cur.n, int(tot.dim), c), int(tot.emptied)
 }
 
 // roundClassifyBits computes, for each edge of [lo, hi), -1 if it
 // touches a red vertex, else its post-shrink size (0 = would become
 // empty); a nil red set skips the red test entirely.
-func roundClassifyBits(cur *Hypergraph, red, blue bitset.Set, keep []int32, lo, hi int) {
+func roundClassifyBits(cur *Residual, red, blue bitset.Set, keep []int32, lo, hi int) {
+	off, verts := cur.off, cur.verts
 	if red == nil {
 		for i := lo; i < hi; i++ {
 			size := int32(0)
-			for _, v := range cur.edges[i] {
+			for _, v := range verts[off[i]:off[i+1]] {
 				if !blue.Has(int(v)) {
 					size++
 				}
@@ -429,7 +465,7 @@ func roundClassifyBits(cur *Hypergraph, red, blue bitset.Set, keep []int32, lo, 
 	}
 	for i := lo; i < hi; i++ {
 		size := int32(0)
-		for _, v := range cur.edges[i] {
+		for _, v := range verts[off[i]:off[i+1]] {
 			if red.Has(int(v)) {
 				size = -1
 				break
@@ -444,14 +480,15 @@ func roundClassifyBits(cur *Hypergraph, red, blue bitset.Set, keep []int32, lo, 
 
 // roundScatterBits writes the non-blue vertices of surviving edges of
 // [lo, hi) into their assigned arena slots.
-func roundScatterBits(cur *Hypergraph, blue bitset.Set, keep, pos []int32, dst *csrBuf, lo, hi int) {
+func roundScatterBits(cur *Residual, blue bitset.Set, keep, pos []int32, dst *csrBuf, lo, hi int) {
+	off, verts := cur.off, cur.verts
 	for i := lo; i < hi; i++ {
 		if keep[i] < 0 {
 			continue
 		}
 		dst.off[keep[i]] = pos[i]
 		w := pos[i]
-		for _, v := range cur.edges[i] {
+		for _, v := range verts[off[i]:off[i+1]] {
 			if !blue.Has(int(v)) {
 				dst.verts[w] = v
 				w++
@@ -460,14 +497,14 @@ func roundScatterBits(cur *Hypergraph, blue bitset.Set, keep, pos []int32, dst *
 	}
 }
 
-// shrunkInOrder reports whether dst's edges are still strictly
-// increasing after a round that shrank the edges at indices shr. Two
-// adjacent unchanged edges are consecutive in the canonical input, so
-// only pairs with a shrunk member need comparing.
+// shrunkInOrder reports whether dst's edges are strictly increasing,
+// given that every pair of adjacent edges without a member in shr (an
+// ascending index list) already is: only pairs with a member in shr
+// are compared, each once.
 func shrunkInOrder(dst *csrBuf, shr []int32) bool {
 	last := int32(len(dst.off) - 2)
-	for _, j := range shr {
-		if j > 0 && slices.Compare(dst.edge(j-1), dst.edge(j)) >= 0 {
+	for x, j := range shr {
+		if j > 0 && (x == 0 || shr[x-1] != j-1) && slices.Compare(dst.edge(j-1), dst.edge(j)) >= 0 {
 			return false
 		}
 		if j < last && slices.Compare(dst.edge(j), dst.edge(j+1)) >= 0 {
@@ -477,19 +514,18 @@ func shrunkInOrder(dst *csrBuf, shr []int32) bool {
 	return true
 }
 
-// canonicalize restores canonical order in dst after a round shrank k
-// of its edges: it sorts the shrunk edges, merges them with the
-// unchanged ones while dropping duplicates, and repacks the arena once
-// in merged order into the spill buffers, which are then swapped in
-// (no allocation once warm). It reads the split slot assignment left
-// behind: split[:len−k] unchanged, split[m−k:m] shrunk. Both merge and
-// repack cut the L output diagonals into the same (L, shards) blocks,
-// so the repack finds each shard's merged edges where the merge put
-// them.
-func (scr *RoundScratch) canonicalize(dst *csrBuf, m, k int, parallel bool) {
+// canonicalize restores canonical order in dst: it sorts the edges
+// listed in shr (tmp is the sort's merge buffer), merges them with the
+// edges listed in unch, which are in order and distinct, while
+// dropping duplicates, and repacks the arena once in merged order into
+// the spill buffers, which are then swapped in (no allocation once
+// warm). Both merge and repack cut the L output diagonals into the same
+// (L, shards) blocks, so the repack finds each shard's merged edges
+// where the merge put them.
+func (scr *RoundScratch) canonicalize(dst *csrBuf, unch, shr, tmp []int32) {
 	L := len(dst.off) - 1
-	unch := scr.split[:L-k]
-	shr := scr.sortShrunk(dst, m, k, parallel)
+	parallel := len(dst.verts) >= par.MinScanWork
+	shr = scr.sortShrunk(dst, shr, tmp, parallel)
 	shards := 1
 	if parallel {
 		shards = scr.Eng.NumShards(L)
@@ -516,24 +552,24 @@ func (scr *RoundScratch) canonicalize(dst *csrBuf, m, k int, parallel bool) {
 	dst.edges = dst.edges[:w]
 }
 
-// sortShrunk sorts the shrunk edges' indices split[m−k:m] by edge and
-// returns the sorted list, which ends in split or in pos (the merge
-// buffer), depending on the number of merge levels. Large lists sort
-// per shard and then merge pairwise, bottom up, each level cut into
-// equal shards by co-rank search.
-func (scr *RoundScratch) sortShrunk(dst *csrBuf, m, k int, parallel bool) []int32 {
-	idx := scr.split[m-k : m]
+// sortShrunk sorts the edge indices idx by edge and returns the sorted
+// list, which ends in idx or in tmp (the merge buffer, as long as
+// idx), depending on the number of merge levels. Large lists sort per
+// shard and then merge pairwise, bottom up, each level cut into equal
+// shards by co-rank search.
+func (scr *RoundScratch) sortShrunk(dst *csrBuf, idx, tmp []int32, parallel bool) []int32 {
+	k := len(idx)
 	lg := bits.Len(uint(k))
 	shards := 1
 	if parallel {
 		shards = scr.Eng.ShardsFor(k, lg)
 	}
 	if shards == 1 {
-		sortByEdge(dst, idx)
+		sortByEdge(dst.verts, dst.off, idx)
 		return idx
 	}
-	scr.Eng.ForShardsWork(nil, k, lg, shards, func(_, lo, hi int) { sortByEdge(dst, idx[lo:hi]) })
-	src, tmp := idx, scr.pos[m-k:m]
+	scr.Eng.ForShardsWork(nil, k, lg, shards, func(_, lo, hi int) { sortByEdge(dst.verts, dst.off, idx[lo:hi]) })
+	src := idx
 	// The first runs are exactly the blocks ForShardsWork sorted.
 	for width := par.BlockLen(k, shards); width < k; width *= 2 {
 		in, out := src, tmp
@@ -543,9 +579,12 @@ func (scr *RoundScratch) sortShrunk(dst *csrBuf, m, k int, parallel bool) []int3
 	return src
 }
 
-// sortByEdge sorts edge indices by the edges they name.
-func sortByEdge(dst *csrBuf, idx []int32) {
-	slices.SortFunc(idx, func(x, y int32) int { return slices.Compare(dst.edge(x), dst.edge(y)) })
+// sortByEdge sorts indices into the CSR arena (verts, off) by the
+// edges they name.
+func sortByEdge(verts []V, off []int32, idx []int32) {
+	slices.SortFunc(idx, func(x, y int32) int {
+		return slices.Compare(verts[off[x]:off[x+1]], verts[off[y]:off[y+1]])
+	})
 }
 
 // mergeRuns writes out[lo:hi] of one bottom-up merge level: src holds

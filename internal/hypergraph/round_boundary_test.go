@@ -56,6 +56,20 @@ func boundaryColors(n int) (red, blue bitset.Set) {
 	return
 }
 
+// boundaryResidual returns h's edges as a multiset with the same arena
+// length: in reverse order, with every seventh edge replaced by a copy
+// of its predecessor when the two have the same size.
+func boundaryResidual(h *Hypergraph) *Residual {
+	edges := slices.Clone(h.Edges())
+	slices.Reverse(edges)
+	for i := 6; i < len(edges); i += 7 {
+		if len(edges[i]) == len(edges[i-1]) {
+			edges[i] = edges[i-1]
+		}
+	}
+	return residualOf(h.N(), edges)
+}
+
 func sameEdges(t *testing.T, label string, a, b *Hypergraph) {
 	t.Helper()
 	if a.M() != b.M() {
@@ -72,7 +86,9 @@ func sameEdges(t *testing.T, label string, a, b *Hypergraph) {
 // against the pure DiscardTouching→Shrink pipeline at arena sizes
 // threshold−1 / threshold / threshold+1, where the implementation
 // switches from the sequential loops to the sharded passes, across
-// engine degrees 1, 2 and 8.
+// engine degrees 1, 2 and 8. A multiset input of the same arena length
+// must give the same residual at P 1 and P 4, byte for byte, holding
+// the pipeline's edges once deduplicated.
 func TestNextRoundParityAtScanThreshold(t *testing.T) {
 	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
 		h := boundaryInstance(arena)
@@ -90,11 +106,28 @@ func TestNextRoundParityAtScanThreshold(t *testing.T) {
 			}
 			sameEdges(t, label, ref, got)
 		}
+
+		r := boundaryResidual(h)
+		if r.ArenaLen() != arena {
+			t.Fatalf("arena=%d: multiset arena %d", arena, r.ArenaLen())
+		}
+		rref, _ := Shrink(DiscardTouching(canonOf(r), has(red)), has(blue))
+		seq, seqEmptied := NextResidual(r, red, blue, &RoundScratch{Eng: par.Engine{P: 1}}, nil)
+		sameEdges(t, fmt.Sprintf("arena=%d multiset", arena), rref, canonOf(seq))
+		got, emptied := NextResidual(r, red, blue, &RoundScratch{Eng: par.Engine{P: 4}}, nil)
+		if emptied != seqEmptied {
+			t.Fatalf("arena=%d: multiset emptied %d at P=4, %d at P=1", arena, emptied, seqEmptied)
+		}
+		sameResidual(t, fmt.Sprintf("arena=%d multiset P=4", arena), got, seq)
 	}
 }
 
 // TestInduceParityAtScanThreshold does the same for the induce
-// transform against the pure Induced.
+// transform against the pure Induced. From a multiset of the same
+// arena length, induced on a third of the vertices and on all of them
+// (which sorts and deduplicates the whole arena), the result must be
+// byte-identical at P 1 and P 4 and equal Induced on the canonical
+// form.
 func TestInduceParityAtScanThreshold(t *testing.T) {
 	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
 		h := boundaryInstance(arena)
@@ -109,7 +142,18 @@ func TestInduceParityAtScanThreshold(t *testing.T) {
 		for _, p := range []int{1, 2, 8} {
 			label := fmt.Sprintf("arena=%d P=%d", arena, p)
 			scr := &RoundScratch{Eng: par.Engine{P: p}}
-			sameEdges(t, label, ref, InduceIntoBits(h, in, scr))
+			sameEdges(t, label, ref, InduceIntoBits(h.Residual(), in, scr, nil))
+		}
+
+		r := boundaryResidual(h)
+		all := bitset.New(h.N())
+		all.SetAll(h.N())
+		for _, set := range []bitset.Set{in, all} {
+			label := fmt.Sprintf("arena=%d multiset |in|=%d", arena, set.Count())
+			rref := Induced(canonOf(r), has(set))
+			seq := InduceIntoBits(r, set, &RoundScratch{Eng: par.Engine{P: 1}}, nil)
+			sameCSR(t, label+" P=1", seq, rref)
+			sameCSR(t, label+" P=4", InduceIntoBits(r, set, &RoundScratch{Eng: par.Engine{P: 4}}, nil), rref)
 		}
 	}
 }

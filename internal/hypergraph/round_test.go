@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -56,6 +57,68 @@ func randomColors(st *rng.Stream, n int) (red, blue bitset.Set) {
 // has is set membership as the predicate the pure pipeline takes.
 func has(set bitset.Set) func(V) bool { return func(v V) bool { return set.Has(int(v)) } }
 
+// residualOf packs edges, each sorted and strictly increasing, into a
+// Residual in the given order.
+func residualOf(n int, edges []Edge) *Residual {
+	r := &Residual{n: n, off: []int32{0}}
+	for _, e := range edges {
+		r.verts = append(r.verts, e...)
+		r.off = append(r.off, int32(len(r.verts)))
+		r.dim = max(r.dim, len(e))
+	}
+	return r
+}
+
+// scrambled returns h's edges as a multiset the way rounds leave one:
+// shuffled, with about a quarter of the edges repeated.
+func scrambled(st *rng.Stream, h *Hypergraph) *Residual {
+	var edges []Edge
+	for _, e := range h.Edges() {
+		edges = append(edges, e)
+		if st.Intn(4) == 0 {
+			edges = append(edges, e)
+		}
+	}
+	shuffled := make([]Edge, len(edges))
+	for i, j := range st.Perm(len(edges)) {
+		shuffled[i] = edges[j]
+	}
+	return residualOf(h.N(), shuffled)
+}
+
+// canonOf returns the canonical hypergraph of r's distinct edges.
+func canonOf(r *Residual) *Hypergraph {
+	edges := make([]Edge, r.M())
+	for i := range edges {
+		edges[i] = r.Edge(i)
+	}
+	h, err := FromEdges(r.N(), edges)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// sameCSR requires got to be byte-identical to want: the same shape,
+// arena and offsets, with headers that agree with them.
+func sameCSR(t *testing.T, label string, got, want *Hypergraph) {
+	t.Helper()
+	if got.N() != want.N() || got.Dim() != want.Dim() || !slices.Equal(got.verts, want.verts) || !slices.Equal(got.off, want.off) {
+		t.Fatalf("%s: CSR (n=%d dim=%d verts=%v off=%v), want (n=%d dim=%d verts=%v off=%v)",
+			label, got.N(), got.Dim(), got.verts, got.off, want.N(), want.Dim(), want.verts, want.off)
+	}
+	sameArena(t, label, got)
+}
+
+// sameResidual requires two residuals to be byte-identical.
+func sameResidual(t *testing.T, label string, got, want *Residual) {
+	t.Helper()
+	if got.N() != want.N() || got.Dim() != want.Dim() || !slices.Equal(got.verts, want.verts) || !slices.Equal(got.off, want.off) {
+		t.Fatalf("%s: residual (n=%d dim=%d m=%d), want (n=%d dim=%d m=%d), or their arenas differ",
+			label, got.N(), got.Dim(), got.M(), want.N(), want.Dim(), want.M())
+	}
+}
+
 func requireSameHypergraph(t *testing.T, seed, round int, got, want *Hypergraph) {
 	t.Helper()
 	if got.N() != want.N() || got.M() != want.M() || got.Dim() != want.Dim() {
@@ -75,16 +138,21 @@ func requireSameHypergraph(t *testing.T, seed, round int, got, want *Hypergraph)
 // singleton edges, superset structure), chained over several rounds of
 // one reused scratch, NextRoundBits produces exactly the canonical edge
 // set of the seed's pure DiscardTouching → Shrink pipeline, with the
-// same emptied count.
+// same emptied count. A residual threaded through the same rounds by
+// NextResidual, starting shuffled and with repeats, must hold the same
+// edges once deduplicated, the same dimension, and an emptied count
+// that is zero exactly when the pipeline's is (it counts repeats).
 func TestNextRoundMatchesPurePipeline(t *testing.T) {
 	s := rng.New(42)
-	scr := &RoundScratch{} // reused across all instances: exercises buffer recycling
+	scr := &RoundScratch{}  // reused across all instances: exercises buffer recycling
+	rscr := &RoundScratch{} // the residual thread's ring
 	instances := 120
 	for seed := 0; seed < instances; seed++ {
 		st := s.Child(uint64(seed))
 		h := randomRoundInstance(st)
 		cur := h
 		ref := h
+		res := scrambled(st, h)
 		for round := 0; round < 4; round++ {
 			red, blue := randomColors(st, h.N())
 
@@ -96,7 +164,17 @@ func TestNextRoundMatchesPurePipeline(t *testing.T) {
 				t.Fatalf("seed %d round %d: emptied %d, want %d", seed, round, gotEmptied, wantEmptied)
 			}
 			requireSameHypergraph(t, seed, round, gotNext, wantNext)
-			cur, ref = gotNext, wantNext
+
+			gotRes, resEmptied := NextResidual(res, red, blue, rscr, nil)
+			if resEmptied < wantEmptied || (resEmptied > 0) != (wantEmptied > 0) {
+				t.Fatalf("seed %d round %d: residual emptied %d, pipeline %d", seed, round, resEmptied, wantEmptied)
+			}
+			if gotRes.Dim() != wantNext.Dim() || gotRes.M() < wantNext.M() {
+				t.Fatalf("seed %d round %d: residual dim %d m %d, pipeline dim %d m %d",
+					seed, round, gotRes.Dim(), gotRes.M(), wantNext.Dim(), wantNext.M())
+			}
+			requireSameHypergraph(t, seed, round, canonOf(gotRes), wantNext)
+			cur, ref, res = gotNext, wantNext, gotRes
 			if ref.M() == 0 {
 				break
 			}
@@ -141,7 +219,9 @@ func TestNextRoundNilRedMatchesShrink(t *testing.T) {
 
 // TestInduceIntoMatchesInduced checks the scratch-buffered induction
 // against the pure Induced, including interleaving with NextRoundBits
-// on the same scratch (the SBL loop's access pattern).
+// on the same scratch (the SBL loop's access pattern). Induced from a
+// shuffled multiset of the same edges, the result must be
+// byte-identical to Induced on the canonical form.
 func TestInduceIntoMatchesInduced(t *testing.T) {
 	s := rng.New(43)
 	scr := &RoundScratch{}
@@ -157,7 +237,7 @@ func TestInduceIntoMatchesInduced(t *testing.T) {
 				}
 			}
 			want := Induced(cur, has(in))
-			got := InduceIntoBits(cur, in, scr)
+			got := InduceIntoBits(cur.Residual(), in, scr, nil)
 			requireSameHypergraph(t, seed, round, got, want)
 
 			// Advance cur through the fused round to interleave the two
@@ -166,6 +246,9 @@ func TestInduceIntoMatchesInduced(t *testing.T) {
 			red, blue := randomColors(st, h.N())
 			next, _ := NextRoundBits(cur, red, blue, scr, nil)
 			requireSameHypergraph(t, seed, round, got, want) // still intact
+
+			label := fmt.Sprintf("seed %d round %d multiset", seed, round)
+			sameCSR(t, label, InduceIntoBits(scrambled(st, cur), in, scr, nil), want)
 			cur = next
 		}
 	}
@@ -199,9 +282,9 @@ func TestNextRoundZeroAllocSteadyState(t *testing.T) {
 			in.Add(v)
 		}
 	}
-	InduceIntoBits(h, in, scr)
+	InduceIntoBits(h.Residual(), in, scr, nil)
 	allocs = testing.AllocsPerRun(20, func() {
-		InduceIntoBits(h, in, scr)
+		InduceIntoBits(h.Residual(), in, scr, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state InduceIntoBits allocated %v times per round, want 0", allocs)
@@ -234,6 +317,28 @@ func TestNextRoundZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state shrinking NextRoundBits allocated %v times per round, want 0", allocs)
+	}
+
+	// A round on a multiset, and an induce from one that has to sort and
+	// deduplicate H′, allocate nothing warm either.
+	r := scrambled(rng.New(8), hs)
+	rscr := &RoundScratch{Eng: par.Engine{P: 1}}
+	NextResidual(r, redBits, blueBits, rscr, nil)
+	allocs = testing.AllocsPerRun(20, func() {
+		NextResidual(r, redBits, blueBits, rscr, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state NextResidual allocated %v times per round, want 0", allocs)
+	}
+	InduceIntoBits(r, in, rscr, nil)
+	if len(rscr.spill) == 0 {
+		t.Fatal("the induce from a shuffled multiset did not canonicalize")
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		InduceIntoBits(r, in, rscr, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state canonicalizing InduceIntoBits allocated %v times per round, want 0", allocs)
 	}
 }
 
@@ -375,7 +480,7 @@ func TestNextRoundParallelShards(t *testing.T) {
 			}
 		}
 		wantInd := Induced(h, has(in))
-		gotInd := InduceIntoBits(h, in, scr)
+		gotInd := InduceIntoBits(h.Residual(), in, scr, nil)
 		requireSameHypergraph(t, seed, 0, gotInd, wantInd)
 	}
 }

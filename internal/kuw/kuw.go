@@ -34,7 +34,10 @@
 // the round budget and per-round telemetry go through solver.Loop, and
 // every buffer — colorings, the order/activation arrays, the CSR round
 // arenas — is drawn from a solver.Workspace, so pooled service jobs
-// and SBL's tail calls stop paying per-run arena allocations.
+// and SBL's tail calls stop paying per-run arena allocations. The
+// residual is an edge multiset (hypergraph.Residual): repeated edges
+// change neither the singletons, nor the minimum activation position,
+// nor which edges die or shrink, so the rounds never sort it.
 package kuw
 
 import (
@@ -43,6 +46,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/bitset"
 	"repro/internal/hypergraph"
 	"repro/internal/mathx"
 	"repro/internal/par"
@@ -77,7 +81,7 @@ type Options struct {
 type RoundStat struct {
 	Round     int // 0-based round index
 	Undecided int // undecided vertices entering the round
-	Edges     int // live edges entering the round
+	Edges     int // live edges entering the round, counting repeats
 	Filtered  int // vertices bulk-discarded in the filter phase
 	Accepted  int // vertices added to the IS (the safe prefix)
 	Discarded int // vertices discarded red by the blocker step (0 or 1)
@@ -113,6 +117,11 @@ func init() {
 // Run executes the algorithm on the sub-hypergraph induced by active
 // (nil = all vertices). Edges of h must consist of active vertices only.
 func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost, opts Options) (*Result, error) {
+	return RunResidual(h.Residual(), active, s, cost, opts)
+}
+
+// RunResidual is Run on an edge multiset, SBL's residual instance.
+func RunResidual(h *hypergraph.Residual, active []bool, s *rng.Stream, cost *par.Cost, opts Options) (*Result, error) {
 	n := h.N()
 	eng := opts.Par
 	if opts.MaxRounds == 0 {
@@ -134,7 +143,8 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		}
 	}
 	par.ChargeStep(cost, n)
-	for _, e := range h.Edges() {
+	for i := range h.M() {
+		e := h.Edge(i)
 		for _, v := range e {
 			if !live.Has(int(v)) {
 				return nil, fmt.Errorf("kuw: edge %v contains inactive vertex %d", e, v)
@@ -173,18 +183,8 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 
 		// Filter phase: bulk-discard every candidate already blocked by
 		// a singleton residual edge, then drop edges touching them.
-		var blocked []hypergraph.V
-		cur, blocked = hypergraph.RemoveSingletons(cur)
-		if len(blocked) > 0 {
-			for _, v := range blocked {
-				if live.Has(int(v)) {
-					live.Del(int(v))
-					res.Red[v] = true
-					redBits.Add(int(v))
-					st.Filtered++
-				}
-			}
-			cur = hypergraph.DiscardTouching(cur, func(v hypergraph.V) bool { return res.Red[v] })
+		cur, st.Filtered = filter(cur, live, redBits, inISBits, res.Red, scratch)
+		if st.Filtered > 0 {
 			par.ChargeStep(cost, cur.M())
 		}
 
@@ -237,12 +237,11 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		// Activation position of each edge: the rank of its last vertex.
 		// Edges here contain only undecided vertices (S-vertices were
 		// shrunk away, red-touching edges discarded).
-		edges := cur.Edges()
-		act := ws.Ints(2, len(edges))
-		eng.ForBlocked(cost, len(edges), func(lo, hi int) {
+		act := ws.Ints(2, cur.M())
+		eng.ForBlocked(cost, len(act), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				m := -1
-				for _, v := range edges[i] {
+				for _, v := range cur.Edge(i) {
 					if pos[v] > m {
 						m = pos[v]
 					}
@@ -290,7 +289,7 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		// scratch-buffered pass. (A fully-accepted edge cannot touch a
 		// red vertex — each vertex gets one color — so the emptied count
 		// matches the unfused Shrink→DiscardTouching order.)
-		next, emptied := hypergraph.NextRoundBits(cur, redBits, inISBits, scratch, cost)
+		next, emptied := hypergraph.NextResidual(cur, redBits, inISBits, scratch, cost)
 		if emptied > 0 {
 			return nil, fmt.Errorf("kuw: %d edges fully accepted at round %d (independence broken)", emptied, st.Round)
 		}
@@ -301,4 +300,27 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		}
 		lp.End(st.Filtered + st.Accepted + st.Discarded)
 	}
+}
+
+// filter is a round's filter phase: every singleton edge {v} of cur
+// blocks v, which turns red (in red and redMask) and leaves live. When
+// any vertex was blocked, one residual round with the cumulative red
+// set then drops the edges that touch red, the singletons among them.
+// cur's edges hold live vertices only, so inIS, the round's blue set,
+// shrinks none of them. It returns the filtered residual and the
+// number of vertices blocked.
+func filter(cur *hypergraph.Residual, live, red, inIS bitset.Set, redMask []bool, scr *hypergraph.RoundScratch) (*hypergraph.Residual, int) {
+	blocked := 0
+	for i := range cur.M() {
+		if e := cur.Edge(i); len(e) == 1 && live.Has(int(e[0])) {
+			live.Del(int(e[0]))
+			red.Add(int(e[0]))
+			redMask[e[0]] = true
+			blocked++
+		}
+	}
+	if blocked > 0 {
+		cur, _ = hypergraph.NextResidual(cur, red, inIS, scr, nil)
+	}
+	return cur, blocked
 }

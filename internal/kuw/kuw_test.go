@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/hypergraph"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -209,5 +210,65 @@ func BenchmarkKUW(b *testing.B) {
 		if _, err := Run(h, nil, rng.New(uint64(i)), nil, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFilterWarmWorkspaceZeroAlloc pins a KUW round's filter phase on
+// a warm workspace: on a residual multiset with singleton edges, some
+// repeated, it blocks each singleton's vertex once, drops every edge
+// touching red, and allocates nothing.
+func TestFilterWarmWorkspaceZeroAlloc(t *testing.T) {
+	h := hypergraph.RandomMixed(rng.New(9), 400, 800, 2, 4)
+	n := h.N()
+	// One round that shrinks by a blue set leaves singletons, repeated
+	// where two edges shrink onto the same vertex.
+	red0, blue0 := bitset.New(n), bitset.New(n)
+	for v := 0; v < n; v += 3 {
+		blue0.Add(v)
+	}
+	r, _ := hypergraph.NextResidual(h.Residual(), red0, blue0, &hypergraph.RoundScratch{}, nil)
+	live0 := bitset.New(n)
+	live0.SetAll(n)
+	live0.AndNot(blue0)
+	singles := map[hypergraph.V]int{}
+	for i := range r.M() {
+		if e := r.Edge(i); len(e) == 1 {
+			singles[e[0]]++
+		}
+	}
+	repeated := 0
+	for _, k := range singles {
+		if k > 1 {
+			repeated++
+		}
+	}
+	if len(singles) == 0 || repeated == 0 {
+		t.Fatalf("residual has %d singleton vertices, %d repeated", len(singles), repeated)
+	}
+
+	scr := &hypergraph.RoundScratch{Eng: par.Engine{P: 1}}
+	live, red := bitset.New(n), bitset.New(n)
+	redMask := make([]bool, n)
+	var out *hypergraph.Residual
+	var blocked int
+	filterOnce := func() {
+		copy(live, live0)
+		red.Reset()
+		clear(redMask)
+		out, blocked = filter(r, live, red, blue0, redMask, scr)
+	}
+	filterOnce()
+	if blocked != len(singles) || red.Count() != len(singles) {
+		t.Fatalf("blocked %d, red %d, want %d", blocked, red.Count(), len(singles))
+	}
+	for i := range out.M() {
+		for _, v := range out.Edge(i) {
+			if red.Has(int(v)) || !live.Has(int(v)) {
+				t.Fatalf("filtered edge %v keeps red or decided vertex %d", out.Edge(i), v)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, filterOnce); allocs != 0 {
+		t.Fatalf("warm filter phase allocated %v times, want 0", allocs)
 	}
 }

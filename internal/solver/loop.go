@@ -12,7 +12,10 @@ import (
 // N, M and Dim describe the residual instance entering the round;
 // Decided counts the vertices the round colored (into or out of the
 // IS); Elapsed is the round's wall time. The JSON shape is the
-// ?trace=1 payload of the service's solve endpoint.
+// ?trace=1 payload of the service's solve endpoint. SBL and KUW carry
+// their residual as an edge multiset, so for them M counts residual
+// edges with multiplicity: an edge that two rounds shrank onto the same
+// vertex set counts twice.
 type Round struct {
 	Round   int           `json:"round"`
 	N       int           `json:"n"`
