@@ -19,6 +19,11 @@ import (
 // The α = 0.45 SBL rows leave a tail of about 2,000 vertices with live
 // edges, so the KUW and greedy tails give different answers there; at
 // the default α the tail has no edges left and both agree.
+//
+// The RandomUniform(47, …) BL rows have an arena of 36,000 vertex
+// slots, above par.MinScanWork, and were recorded while BL's stages
+// still canonicalized arenas that large with a sharded sort and Merge
+// Path merges; they pin the serial canonicalizer that replaced them.
 func TestDeterminismGoldenAnswers(t *testing.T) {
 	instances := map[string]*Hypergraph{
 		"RandomMixed(41, 3000, 6000, 2, 14)":  RandomMixed(41, 3000, 6000, 2, 14),
@@ -27,6 +32,7 @@ func TestDeterminismGoldenAnswers(t *testing.T) {
 		"RandomMixed(44, 2000, 6000, 2, 12)":  RandomMixed(44, 2000, 6000, 2, 12),
 		"RandomUniform(45, 1500, 3000, 3)":    RandomUniform(45, 1500, 3000, 3),
 		"RandomMixed(46, 1000, 2000, 2, 4)":   RandomMixed(46, 1000, 2000, 2, 4),
+		"RandomUniform(47, 4000, 12000, 3)":   RandomUniform(47, 4000, 12000, 3),
 	}
 	golden := []struct {
 		solver   string // "sbl-kuw" and "sbl-greedy" are SBL with that tail
@@ -52,6 +58,8 @@ func TestDeterminismGoldenAnswers(t *testing.T) {
 		{"bl", "RandomUniform(45, 1500, 3000, 3)", 0, 2, 128, "f485707011727dbe77b1d45e700cc9ef0018c7021c28ef9191e70654c33b03a1"},
 		{"bl", "RandomMixed(46, 1000, 2000, 2, 4)", 0, 1, 172, "1c4c5e0d7263f360db385eaf4970cb7d76f460ef32ddde915dd941ec3d3747ee"},
 		{"bl", "RandomMixed(46, 1000, 2000, 2, 4)", 0, 2, 187, "ff471b9ac54c425f7ed81203f3e35292942f232553984ff7cb26a65a9b26f644"},
+		{"bl", "RandomUniform(47, 4000, 12000, 3)", 0, 1, 172, "ac147f2fa19732cadd4b8895453706ae0ef7ca6c9852eb093b3c0aa9a4a78f38"},
+		{"bl", "RandomUniform(47, 4000, 12000, 3)", 0, 2, 168, "7f01b4e0a21b4933caf78413d423e02c52382eb9c1cd48891368cf3f95007dbd"},
 	}
 	algos := map[string]Algorithm{"sbl-kuw": AlgSBL, "sbl-greedy": AlgSBL, "kuw": AlgKUW, "bl": AlgBL}
 	for _, g := range golden {

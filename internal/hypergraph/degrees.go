@@ -27,7 +27,7 @@ const maxEnumerableDim = 22
 
 // subsetKey canonically encodes a sorted vertex set. It survives only
 // as the key of the brute-force reference DeltaDirect; the production
-// structures (DegreeTable, Working, RemoveSupersets) key on hashEdge
+// structures (DegreeTable, RemoveSupersets) key on hashEdge
 // instead, which does not allocate.
 func subsetKey(x Edge) string {
 	buf := make([]byte, 4*len(x))

@@ -303,8 +303,10 @@ func canonEdge(e Edge) Edge {
 }
 
 // Build returns the canonical hypergraph. Unless the edge list must be
-// sorted, the arena passes to it without a copy. The Builder may go on
-// adding edges: they land past the arena's part the Hypergraph reads.
+// sorted, the arena passes to it without a copy; otherwise canonicalize
+// sorts an index over the edges and packs every distinct edge once
+// into fresh arrays of exactly their size. The Builder may go on adding
+// edges: they land past the arena's part the Hypergraph reads.
 func (b *Builder) Build() (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -312,38 +314,18 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	if len(b.verts) > b.open {
 		return nil, fmt.Errorf("hypergraph: Build with an open edge (Push without EndEdge)")
 	}
-	off := b.off
+	verts, off := b.verts, b.off
 	if len(off) == 0 {
 		off = []int32{0}
 	}
 	if b.unsorted {
-		return packSorted(b.n, b.dim, b.verts, off), nil
+		idx := make([]int32, len(off)-1)
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		verts, off = canonicalize(verts, off, nil, idx, idx, nil, nil)
 	}
-	return &Hypergraph{csr{n: b.n, dim: b.dim, verts: b.verts, off: off}, edgeHeaders(b.verts, off)}, nil
-}
-
-// packSorted copies the edges of a CSR arena, each already canonical,
-// into a fresh canonical hypergraph of dimension dim: it sorts an index
-// over the edges, drops duplicates, and packs every distinct edge once.
-func packSorted(n, dim int, verts []V, off []int32) *Hypergraph {
-	idx := make([]int32, len(off)-1)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sortByEdge(verts, off, idx)
-	edge := func(x int32) Edge { return verts[off[x]:off[x+1]] }
-	idx = slices.CompactFunc(idx, func(x, y int32) bool { return slices.Equal(edge(x), edge(y)) })
-	total := 0
-	for _, x := range idx {
-		total += len(edge(x))
-	}
-	packed := make([]V, 0, total)
-	packedOff := make([]int32, 1, len(idx)+1)
-	for _, x := range idx {
-		packed = append(packed, edge(x)...)
-		packedOff = append(packedOff, int32(len(packed)))
-	}
-	return &Hypergraph{csr{n: n, dim: dim, verts: packed, off: packedOff}, edgeHeaders(packed, packedOff)}
+	return &Hypergraph{csr{n: b.n, dim: b.dim, verts: verts, off: off}, edgeHeaders(verts, off)}, nil
 }
 
 // sortEdge sorts a vertex slice ascending. Small edges (the common

@@ -4,10 +4,9 @@ package hypergraph
 // keyed structures share: 64-bit hashEdge keys into a bucket map, with
 // colliding entries chained through a per-id link array and always
 // verified against the stored vertex sets (the hash is an accelerator,
-// never an identity). Consumers — RemoveSupersets, DegreeTable,
-// Working — store their vertex sets in their own arenas and walk
-// chains with head/next; the insertion and unlink logic that is easy
-// to get wrong lives here once.
+// never an identity). Consumers — RemoveSupersets and DegreeTable —
+// store their vertex sets in their own arenas and walk chains with
+// head/next; the insertion logic lives here once.
 
 // hashEdge returns a 64-bit hash of a sorted vertex set (SplitMix64-style
 // mixing per element, seeded by the length). Distinct sets can collide,
@@ -67,28 +66,6 @@ func (ix *edgeIndex) add(hash uint64, id int32) {
 	}
 	ix.next = append(ix.next, head)
 	ix.idx[hash] = id
-}
-
-// unlink removes id from the hash's chain (no-op if absent).
-func (ix *edgeIndex) unlink(hash uint64, id int32) {
-	head, ok := ix.idx[hash]
-	if !ok {
-		return
-	}
-	if head == id {
-		if ix.next[id] < 0 {
-			delete(ix.idx, hash)
-		} else {
-			ix.idx[hash] = ix.next[id]
-		}
-		return
-	}
-	for p := head; p >= 0; p = ix.next[p] {
-		if ix.next[p] == id {
-			ix.next[p] = ix.next[id]
-			return
-		}
-	}
 }
 
 // size returns the number of ids ever added.

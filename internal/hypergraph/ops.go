@@ -12,13 +12,6 @@ import (
 // alias their inputs. The scratch-based, allocation-free variants the
 // solver round loops use live in round.go.
 
-// fromCanon assembles a hypergraph from edges that are already sorted
-// internally; it deduplicates the edge list, recomputes the dimension,
-// and packs the result into a fresh CSR arena.
-func fromCanon(n int, edges []Edge) *Hypergraph {
-	return packCanon(n, dedupEdges(edges))
-}
-
 // Induced returns the hypergraph H' = (V', E') of the paper's SBL round:
 // same vertex universe, but only edges entirely contained in the set
 // {v : in(v)}. (Vertices outside the set simply have no incident edges;
@@ -68,8 +61,8 @@ func DiscardTouching(h *Hypergraph, touch func(V) bool) *Hypergraph {
 // invariant violation.
 func Shrink(h *Hypergraph, drop func(V) bool) (*Hypergraph, int) {
 	// Stage shrunk edges into one arena; removing vertices can break the
-	// lexicographic edge order and create duplicates, so fromCanon
-	// re-canonicalizes the staged headers.
+	// lexicographic edge order and create duplicates, so the staged
+	// headers are sorted and deduplicated before they are packed.
 	arena := make([]V, 0, len(h.verts))
 	kept := make([]Edge, 0, len(h.edges))
 	emptied := 0
@@ -86,7 +79,7 @@ func Shrink(h *Hypergraph, drop func(V) bool) (*Hypergraph, int) {
 		}
 		kept = append(kept, arena[start:len(arena):len(arena)])
 	}
-	return fromCanon(h.n, kept), emptied
+	return packCanon(h.n, dedupEdges(kept)), emptied
 }
 
 // RemoveSupersets discards every edge that strictly contains another
@@ -190,12 +183,6 @@ func RemoveSingletons(h *Hypergraph) (*Hypergraph, []V) {
 	// blocked vertex is never marked again), matching the pseudocode,
 	// which only deletes the singleton edges themselves.
 	return packCanon(h.n, kept), blocked
-}
-
-// Restrict removes all edges incident to any vertex with gone(v) true.
-// Used when a set of vertices leaves the working universe entirely.
-func Restrict(h *Hypergraph, gone func(V) bool) *Hypergraph {
-	return DiscardTouching(h, gone)
 }
 
 // UsedVertices returns a mask of vertices appearing in at least one edge.

@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -31,14 +30,14 @@ import (
 // the output arenas — are bit-identical to the sequential scan for any
 // worker count.
 //
-// Canonicalization sorts the edges that may be out of place (per-shard
-// sorts merged pairwise: the shrunk ones after a round, all of H′ after
-// an induce), merges them with the ones known to be in order while
-// dropping duplicates, and repacks the arena once in merged order.
-// Every merge is cut into equal shards by Merge Path co-rank search
-// (Odeh et al., IPDPSW 2012), so each shard writes exactly the slots of
-// a serial merge, and the repack is the same tally/prefix-sum pattern
-// as slot assignment.
+// Canonicalization (canonicalize) sorts the edges that may be out of
+// place (the shrunk ones after a round, all of H′ after an induce),
+// merges them with the ones known to be in order while dropping
+// duplicates, and packs each kept edge once into the spill arena. It
+// runs inline, in one serial pass: only H′ and BL's stage output reach
+// it, and no benchmark workload canonicalizes an arena anywhere near
+// par.MinScanWork, the size at which the sharded passes start to pay.
+// Builder.Build packs out-of-order input with the same function.
 
 // resize returns s with length n, reallocating only when its capacity
 // is insufficient.
@@ -70,21 +69,19 @@ func (b *csrBuf) grow(nVerts, nEdges int) {
 // built last).
 func (b *csrBuf) edge(j int32) Edge { return b.verts[b.off[j]:b.off[j+1]] }
 
-// setEdges builds the edge headers [lo, hi) from off/verts.
-func (b *csrBuf) setEdges(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.edges[i] = b.verts[b.off[i]:b.off[i+1]:b.off[i+1]]
-	}
-}
-
 // residual installs the Residual header over the buffer's arena.
 func (b *csrBuf) residual(n, dim int) *Residual {
 	b.hg = Hypergraph{csr: csr{n: n, dim: dim, verts: b.verts, off: b.off}}
 	return &b.hg.csr
 }
 
-// finish installs the Hypergraph header over the buffer's arrays.
+// finish builds the edge headers from off/verts and installs the
+// Hypergraph header over the buffer's arrays.
 func (b *csrBuf) finish(n, dim int) *Hypergraph {
+	b.edges = resize(b.edges, len(b.off)-1)
+	for i := range b.edges {
+		b.edges[i] = b.verts[b.off[i]:b.off[i+1]:b.off[i+1]]
+	}
 	b.residual(n, dim)
 	b.hg.edges = b.edges
 	return &b.hg
@@ -112,16 +109,15 @@ type RoundScratch struct {
 	ringIdx int
 	sample  csrBuf
 	// Per input edge: output edge index, or -1 dropped. Canonicalization
-	// reuses it for the merged edge order.
+	// lists the kept edges in it, in canonical order.
 	keep []int32
-	// Per input edge: output arena offset. Canonicalization reuses it as
-	// the sort's merge buffer.
+	// Per input edge: output arena offset.
 	pos []int32
 	// Output edge indices: the unchanged edges ascending at the front,
 	// the shrunk ones at the back (ascending before the sort).
 	// Induction shrinks nothing, so it lists every output edge in order.
 	split []int32
-	// Arena and offsets canonicalization repacks into; swapped with the
+	// Arena and offsets canonicalization packs into; swapped with the
 	// output's, so the old ones become the next round's spill.
 	spill    []V
 	spillOff []int32
@@ -307,19 +303,15 @@ func (scr *RoundScratch) assignSlots(h *Residual) shardTally {
 // canonical finishes dst as a canonical Hypergraph on n vertices of
 // dimension dim, given its edges as two ascending index lists: sorted,
 // in canonical order and distinct, and unsorted, possibly out of place.
-// When one of unsorted is, it canonicalizes (tmp is the sort's merge
-// buffer) and charges the sort and merge to c; otherwise it only builds
-// the edge headers, sharded when the arena is large.
-func (scr *RoundScratch) canonical(dst *csrBuf, sorted, unsorted, tmp []int32, n, dim int, c *par.Cost) *Hypergraph {
-	dst.edges = resize(dst.edges, len(dst.off)-1)
-	switch {
-	case len(unsorted) > 0 && !shrunkInOrder(dst, unsorted):
-		scr.canonicalize(dst, sorted, unsorted, tmp)
+// When one of unsorted is, it canonicalizes the arena into the spill
+// buffers, swaps them in (no allocation once warm) and charges the sort
+// and merge to c; either way it then builds the edge headers.
+func (scr *RoundScratch) canonical(dst *csrBuf, sorted, unsorted []int32, n, dim int, c *par.Cost) *Hypergraph {
+	if len(unsorted) > 0 && !shrunkInOrder(dst, unsorted) {
+		scr.spill, scr.spillOff = canonicalize(dst.verts, dst.off, sorted, unsorted, scr.keep, scr.spill, scr.spillOff)
+		dst.verts, scr.spill = scr.spill, dst.verts
+		dst.off, scr.spillOff = scr.spillOff, dst.off
 		par.ChargeSortMerge(c, len(unsorted), len(sorted)+len(unsorted))
-	case len(dst.verts) >= par.MinScanWork:
-		scr.Eng.ForBlocked(nil, len(dst.edges), dst.setEdges)
-	default:
-		dst.setEdges(0, len(dst.edges))
 	}
 	return dst.finish(n, dim)
 }
@@ -353,7 +345,7 @@ func InduceIntoBits(h *Residual, in bitset.Set, scr *RoundScratch, c *par.Cost) 
 		induceScatter(h, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
-	return scr.canonical(dst, nil, scr.split[:outEdges], pos[:outEdges], h.n, int(tot.dim), c)
+	return scr.canonical(dst, nil, scr.split[:outEdges], h.n, int(tot.dim), c)
 }
 
 // induceClassifyBits marks edges [lo, hi): keep[i] = the edge's size if
@@ -438,12 +430,12 @@ func NextResidual(cur *Residual, red, blue bitset.Set, scr *RoundScratch, c *par
 // with the result restored to canonical order; BL's stages run it. Only
 // a shrunk edge can be out of place or a duplicate, since the unchanged
 // ones are a subsequence of the canonical input, so when one is, it
-// sorts the shrunk edges, merges them in and repacks, and charges that
-// sort and merge to c as well.
+// sorts the shrunk edges, merges them in and packs the result, and
+// charges that sort and merge to c as well.
 func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Hypergraph, int) {
 	dst, tot := scr.round(&cur.csr, red, blue, c)
 	m, L, k := cur.M(), int(tot.edges), int(tot.shrunk)
-	return scr.canonical(dst, scr.split[:L-k], scr.split[m-k:m], scr.pos[m-k:m], cur.n, int(tot.dim), c), int(tot.emptied)
+	return scr.canonical(dst, scr.split[:L-k], scr.split[m-k:m], cur.n, int(tot.dim), c), int(tot.emptied)
 }
 
 // roundClassifyBits computes, for each edge of [lo, hi), -1 if it
@@ -514,71 +506,6 @@ func shrunkInOrder(dst *csrBuf, shr []int32) bool {
 	return true
 }
 
-// canonicalize restores canonical order in dst: it sorts the edges
-// listed in shr (tmp is the sort's merge buffer), merges them with the
-// edges listed in unch, which are in order and distinct, while
-// dropping duplicates, and repacks the arena once in merged order into
-// the spill buffers, which are then swapped in (no allocation once
-// warm). Both merge and repack cut the L output diagonals into the same
-// (L, shards) blocks, so the repack finds each shard's merged edges
-// where the merge put them.
-func (scr *RoundScratch) canonicalize(dst *csrBuf, unch, shr, tmp []int32) {
-	L := len(dst.off) - 1
-	parallel := len(dst.verts) >= par.MinScanWork
-	shr = scr.sortShrunk(dst, shr, tmp, parallel)
-	shards := 1
-	if parallel {
-		shards = scr.Eng.NumShards(L)
-	}
-	t := scr.growTallies(shards)
-	if shards == 1 {
-		mergeShard(dst, unch, shr, scr.keep, &t[0], 0, L)
-	} else {
-		keep := scr.keep
-		scr.Eng.ForShards(nil, L, shards, func(s, lo, hi int) { mergeShard(dst, unch, shr, keep, &t[s], lo, hi) })
-	}
-	tot := scanTallies(t)
-	w := int(tot.edges)
-	scr.spill = resize(scr.spill, int(tot.verts))
-	scr.spillOff = resize(scr.spillOff, w+1)
-	if shards == 1 {
-		scr.repackShard(dst, t, 0, 0)
-	} else {
-		scr.Eng.ForShards(nil, L, shards, func(s, lo, _ int) { scr.repackShard(dst, t, s, lo) })
-	}
-	scr.spillOff[w] = tot.verts
-	dst.verts, scr.spill = scr.spill, dst.verts
-	dst.off, scr.spillOff = scr.spillOff, dst.off
-	dst.edges = dst.edges[:w]
-}
-
-// sortShrunk sorts the edge indices idx by edge and returns the sorted
-// list, which ends in idx or in tmp (the merge buffer, as long as
-// idx), depending on the number of merge levels. Large lists sort per
-// shard and then merge pairwise, bottom up, each level cut into equal
-// shards by co-rank search.
-func (scr *RoundScratch) sortShrunk(dst *csrBuf, idx, tmp []int32, parallel bool) []int32 {
-	k := len(idx)
-	lg := bits.Len(uint(k))
-	shards := 1
-	if parallel {
-		shards = scr.Eng.ShardsFor(k, lg)
-	}
-	if shards == 1 {
-		sortByEdge(dst.verts, dst.off, idx)
-		return idx
-	}
-	scr.Eng.ForShardsWork(nil, k, lg, shards, func(_, lo, hi int) { sortByEdge(dst.verts, dst.off, idx[lo:hi]) })
-	src := idx
-	// The first runs are exactly the blocks ForShardsWork sorted.
-	for width := par.BlockLen(k, shards); width < k; width *= 2 {
-		in, out := src, tmp
-		scr.Eng.ForShards(nil, k, shards, func(_, lo, hi int) { mergeRuns(dst, in, out, width, lo, hi) })
-		src, tmp = tmp, src
-	}
-	return src
-}
-
 // sortByEdge sorts indices into the CSR arena (verts, off) by the
 // edges they name.
 func sortByEdge(verts []V, off []int32, idx []int32) {
@@ -587,119 +514,39 @@ func sortByEdge(verts []V, off []int32, idx []int32) {
 	})
 }
 
-// mergeRuns writes out[lo:hi] of one bottom-up merge level: src holds
-// sorted runs of the given width, and each output slot belongs to the
-// merge of the run pair covering it.
-func mergeRuns(dst *csrBuf, src, out []int32, width, lo, hi int) {
-	for lo < hi {
-		a := lo - lo%(2*width)
-		mid := min(a+width, len(src))
-		b := min(mid+width, len(src))
-		end := min(hi, b)
-		A, B := src[a:mid], src[mid:b]
-		i := coRank(dst, A, B, lo-a)
-		mergeFrom(dst, A, B, i, lo-a-i, out[lo:end], false, nil)
-		lo = end
-	}
-}
-
-// coRank returns how many elements of A precede diagonal d of the
-// stable merge of the sorted lists A and B (ties take A first): the
-// Merge Path split point, found by binary search.
-func coRank(dst *csrBuf, A, B []int32, d int) int {
-	lo, hi := max(0, d-len(B)), min(d, len(A))
-	for lo < hi {
-		i := int(uint(lo+hi) >> 1)
-		if slices.Compare(dst.edge(A[i]), dst.edge(B[d-i-1])) <= 0 {
-			lo = i + 1
-		} else {
-			hi = i
-		}
-	}
-	return lo
-}
-
-// mergeFrom walks len(out) steps of the stable merge of A[i:] and B[j:]
-// (ties take A first) and writes the edges it passes to out. With
-// dedupe set it skips every edge equal to its predecessor, last being
-// the predecessor of the first. It returns how many edges it wrote and
-// their total size.
-func mergeFrom(dst *csrBuf, A, B []int32, i, j int, out []int32, dedupe bool, last Edge) (n, nv int) {
-	var ea, eb Edge
-	if i < len(A) {
-		ea = dst.edge(A[i])
-	}
-	if j < len(B) {
-		eb = dst.edge(B[j])
-	}
-	for range out {
+// canonicalize packs the edges of the CSR arena (verts, off) that
+// sorted and unsorted list into dst and dstOff, in canonical order and
+// once each, and returns them. sorted lists edges in canonical order
+// and distinct; unsorted lists edges that may be out of place or
+// repeat. It sorts unsorted by edge, merges it with sorted into merged
+// while dropping every edge equal to the one kept before it, sizes dst
+// and dstOff to exactly the kept edges (reallocating only when their
+// capacity is short) and copies each kept edge once. merged needs room
+// for both lists; it may be unsorted itself only when sorted is empty.
+func canonicalize(verts []V, off []int32, sorted, unsorted, merged []int32, dst []V, dstOff []int32) ([]V, []int32) {
+	sortByEdge(verts, off, unsorted)
+	edge := func(x int32) Edge { return verts[off[x]:off[x+1]] }
+	merged = merged[:0]
+	total := 0
+	for i, j := 0, 0; i < len(sorted) || j < len(unsorted); {
 		var x int32
-		var e Edge
-		if i < len(A) && (j == len(B) || slices.Compare(ea, eb) <= 0) {
-			x, e = A[i], ea
-			if i++; i < len(A) {
-				ea = dst.edge(A[i])
-			}
+		if j == len(unsorted) || i < len(sorted) && slices.Compare(edge(sorted[i]), edge(unsorted[j])) <= 0 {
+			x, i = sorted[i], i+1
 		} else {
-			x, e = B[j], eb
-			if j++; j < len(B) {
-				eb = dst.edge(B[j])
-			}
+			x, j = unsorted[j], j+1
 		}
-		if dedupe && slices.Equal(e, last) {
+		if len(merged) > 0 && slices.Equal(edge(x), edge(merged[len(merged)-1])) {
 			continue
 		}
-		out[n] = x
-		n++
-		nv += len(e)
-		last = e
+		merged = append(merged, x)
+		total += len(edge(x))
 	}
-	return n, nv
-}
-
-// mergeShard merges diagonals [lo, hi) of the unchanged edges A
-// (sorted, distinct) with the sorted shrunk edges B into out[lo:],
-// dropping every edge equal to its predecessor in merged order, and
-// tallies the edges and vertices it kept.
-func mergeShard(dst *csrBuf, A, B, out []int32, t *shardTally, lo, hi int) {
-	i := coRank(dst, A, B, lo)
-	j := lo - i
-	// The predecessor of diagonal lo is the later of A[i−1] and B[j−1].
-	var last Edge
-	if i > 0 {
-		last = dst.edge(A[i-1])
+	dst, dstOff = resize(dst, total), resize(dstOff, len(merged)+1)
+	dstOff[0] = 0
+	w := 0
+	for r, x := range merged {
+		w += copy(dst[w:], edge(x))
+		dstOff[r+1] = int32(w)
 	}
-	if j > 0 && (i == 0 || slices.Compare(last, dst.edge(B[j-1])) <= 0) {
-		last = dst.edge(B[j-1])
-	}
-	n, nv := mergeFrom(dst, A, B, i, j, out[lo:hi], true, last)
-	t.edges, t.verts = int32(n), int32(nv)
-}
-
-// repackShard copies shard s's merged edges, out[lo:] as mergeShard
-// left them in keep, into the spill arena at the shard's prefix-summed
-// slots, writing their offsets and final edge headers. Runs of
-// consecutive edges are contiguous in the old arena too, so each run
-// moves with one copy.
-func (scr *RoundScratch) repackShard(dst *csrBuf, t []shardTally, s, lo int) {
-	r, v := t[s].edges, t[s].verts
-	merged := scr.keep[lo : lo+int(t[s+1].edges-r)]
-	off := dst.off
-	for a := 0; a < len(merged); {
-		b := a + 1
-		for b < len(merged) && merged[b] == merged[b-1]+1 {
-			b++
-		}
-		base, top := off[merged[a]], off[merged[b-1]+1]
-		copy(scr.spill[v:], dst.verts[base:top])
-		shift := v - base
-		for _, x := range merged[a:b] {
-			from, to := off[x]+shift, off[x+1]+shift
-			scr.spillOff[r] = from
-			dst.edges[r] = scr.spill[from:to:to]
-			r++
-		}
-		v += top - base
-		a = b
-	}
+	return dst, dstOff
 }

@@ -189,10 +189,9 @@ func TestAssignSlotsParityAtEdgeCountThreshold(t *testing.T) {
 //   - {x, β_0, y(t+1)} precedes {x, y(t)} in the input but shrinks to
 //     an edge that sorts after it (a reorder).
 //
-// The run of copies of {x, y(t)} is 2–7 long depending on t, so shard
-// boundaries of the merge land inside runs. Unchanged singletons on
-// fresh vertices fill the arena to the exact size; a few edges through
-// the red vertex die.
+// The run of copies of {x, y(t)} is 2–7 long depending on t. Unchanged
+// singletons on fresh vertices fill the arena to the exact size; a few
+// edges through the red vertex die.
 func canonInstance(arena int) (h *Hypergraph, red, blue bitset.Set) {
 	const nBlue = 6
 	keys := arena / 8
@@ -241,13 +240,12 @@ func canonInstance(arena int) (h *Hypergraph, red, blue bitset.Set) {
 	return b.MustBuild(), red, blue
 }
 
-// TestCanonicalizeParityAtThreshold pins the sequential/sharded
-// switch-over of the canonicalization (sort the shrunk edges, merge
-// with dedupe, repack), which shards once the scattered arena reaches
-// par.MinScanWork: instances whose round output holds threshold−1,
-// threshold and threshold+1 vertices, with reordering shrunk edges,
-// shrunk edges equal to unchanged ones, equal shrunk edges and
-// duplicate runs straddling merge shard boundaries, must match the pure
+// TestCanonicalizeParityAtThreshold pins the canonicalization (sort the
+// shrunk edges, merge with dedupe, pack) on both sides of the
+// par.MinScanWork switch-over of the round's other passes: instances
+// whose round output holds threshold−1, threshold and threshold+1
+// vertices, with reordering shrunk edges, shrunk edges equal to
+// unchanged ones and equal shrunk edges, must match the pure
 // DiscardTouching→Shrink pipeline at every degree.
 func TestCanonicalizeParityAtThreshold(t *testing.T) {
 	for _, arena := range []int{par.MinScanWork - 1, par.MinScanWork, par.MinScanWork + 1} {
@@ -260,11 +258,7 @@ func TestCanonicalizeParityAtThreshold(t *testing.T) {
 		ref, refEmptied := Shrink(DiscardTouching(h, has(red)), has(blue))
 		for _, p := range []int{1, 2, 3, 8} {
 			label := fmt.Sprintf("arena=%d P=%d", arena, p)
-			eng := par.Engine{P: p}
-			if shards := eng.NumShards(len(c.merged)); arena >= par.MinScanWork && shards > 1 && !c.straddles(shards) {
-				t.Fatalf("%s: no duplicate run straddles the %d merge shards", label, shards)
-			}
-			scr := &RoundScratch{Eng: eng}
+			scr := &RoundScratch{Eng: par.Engine{P: p}}
 			got, emptied := NextRoundBits(h, red, blue, scr, nil)
 			if emptied != refEmptied {
 				t.Fatalf("%s: NextRoundBits emptied %d want %d", label, emptied, refEmptied)
@@ -278,8 +272,8 @@ func TestCanonicalizeParityAtThreshold(t *testing.T) {
 	}
 }
 
-// sameArena checks that h's edge headers, offsets and arena agree: the
-// repack writes all three.
+// sameArena checks that h's edge headers, offsets and arena agree: a
+// canonicalizing round rewrites all three.
 func sameArena(t *testing.T, label string, h *Hypergraph) {
 	t.Helper()
 	if len(h.off) != len(h.edges)+1 || int(h.off[len(h.edges)]) != len(h.verts) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/bitset"
@@ -344,11 +343,10 @@ func TestNextRoundZeroAllocSteadyState(t *testing.T) {
 
 // canonCases records which canonicalization cases one round exercises.
 type canonCases struct {
-	reorder      bool   // a shrunk edge lands before a smaller one
-	dupUnchanged bool   // a shrunk edge equals an unchanged edge
-	dupShrunk    bool   // two shrunk edges are equal
-	merged       []Edge // surviving edges, sorted, duplicates included
-	arena        int    // their total size
+	reorder      bool // a shrunk edge lands before a smaller one
+	dupUnchanged bool // a shrunk edge equals an unchanged edge
+	dupShrunk    bool // two shrunk edges are equal
+	arena        int  // total size of the surviving edges, duplicates included
 }
 
 // roundCases classifies, from the pure definitions, what the round
@@ -382,49 +380,30 @@ func roundCases(h *Hypergraph, red, blue bitset.Set) canonCases {
 		} else {
 			unchanged[key]++
 		}
-		c.merged = append(c.merged, out)
 		c.arena += len(out)
 	}
 	for key, k := range shrunk {
 		c.dupUnchanged = c.dupUnchanged || unchanged[key] > 0
 		c.dupShrunk = c.dupShrunk || k > 1
 	}
-	sort.Slice(c.merged, func(i, j int) bool { return lessEdge(c.merged[i], c.merged[j]) })
 	return c
 }
 
-// straddles reports whether a run of equal edges crosses a boundary of
-// the (len(merged), shards) block partition the sharded merge uses.
-func (c canonCases) straddles(shards int) bool {
-	L := len(c.merged)
-	chunk := par.BlockLen(L, shards)
-	for b := chunk; b < L; b += chunk {
-		if equalEdge(c.merged[b-1], c.merged[b]) {
-			return true
-		}
-	}
-	return false
-}
-
-// TestWorkingAndFusedAgainstSeedReference is the differential test
-// pinning both incremental engines — Working and the fused CSR round —
-// against the seed's pure DiscardTouching → Shrink → RemoveSupersets
-// reference on fuzzed instances.
-func TestWorkingAndFusedAgainstSeedReference(t *testing.T) {
+// TestFusedAgainstSeedReference is the differential test pinning the
+// fused CSR round against the seed's pure DiscardTouching → Shrink →
+// RemoveSupersets reference on fuzzed instances.
+func TestFusedAgainstSeedReference(t *testing.T) {
 	s := rng.New(44)
 	scr := &RoundScratch{}
 	for seed := 0; seed < 110; seed++ {
 		st := s.Child(uint64(seed))
 		h := randomRoundInstance(st)
-		var blue, red []V
 		redBits, blueBits := bitset.New(h.N()), bitset.New(h.N())
 		for v := 0; v < h.N(); v++ {
 			switch st.Intn(5) {
 			case 0:
-				blue = append(blue, V(v))
 				blueBits.Add(v)
 			case 1:
-				red = append(red, V(v))
 				redBits.Add(v)
 			}
 		}
@@ -432,13 +411,6 @@ func TestWorkingAndFusedAgainstSeedReference(t *testing.T) {
 		want := DiscardTouching(norm, has(redBits))
 		want, wantEmptied := Shrink(want, has(blueBits))
 		want = RemoveSupersets(want)
-
-		w := NewWorking(h)
-		gotEmptied := w.Commit(blue, red)
-		if gotEmptied != wantEmptied {
-			t.Fatalf("seed %d: Working emptied %d, want %d", seed, gotEmptied, wantEmptied)
-		}
-		requireSameHypergraph(t, seed, 0, w.Snapshot(), want)
 
 		fused, fusedEmptied := NextRoundBits(norm, redBits, blueBits, scr, nil)
 		if fusedEmptied != wantEmptied {

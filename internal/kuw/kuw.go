@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/hypergraph"
@@ -229,55 +230,39 @@ func RunResidual(h *hypergraph.Residual, active []bool, s *rng.Stream, cost *par
 			perm[i] = i
 		}
 		s.Child(uint64(st.Round)).Shuffle(perm)
-		eng.For(cost, k, func(i int) {
-			pos[candidates[perm[i]]] = i
-		})
+		// Each pass below runs inline under par.MinScanWork: a closure
+		// handed to the engine would be the warm round's one allocation.
+		if k < par.MinScanWork {
+			rank(pos, candidates, perm, 0, k)
+			par.ChargeStep(cost, k)
+		} else {
+			eng.ForBlocked(cost, k, func(lo, hi int) { rank(pos, candidates, perm, lo, hi) })
+		}
 		par.ChargeAux(cost, int64(k), int64(mathx.ILog2(k))) // permutation generation
 
 		// Activation position of each edge: the rank of its last vertex.
 		// Edges here contain only undecided vertices (S-vertices were
 		// shrunk away, red-touching edges discarded).
 		act := ws.Ints(2, cur.M())
-		eng.ForBlocked(cost, len(act), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				m := -1
-				for _, v := range cur.Edge(i) {
-					if pos[v] > m {
-						m = pos[v]
-					}
-				}
-				act[i] = m
-			}
-		})
-		minAct := par.ReduceOn(eng, cost, act, k, func(a, b int) int {
-			if a < b {
-				return a
-			}
-			return b
-		})
+		var minAct int
+		if cur.ArenaLen() < par.MinScanWork {
+			activate(cur, pos, act, 0, len(act))
+			par.ChargeStep(cost, len(act))
+			minAct = min(k, slices.Min(act))
+			par.ChargeReduce(cost, len(act))
+		} else {
+			eng.ForBlocked(cost, len(act), func(lo, hi int) { activate(cur, pos, act, lo, hi) })
+			minAct = par.ReduceOn(eng, cost, act, k, func(a, b int) int { return min(a, b) })
+		}
 
 		// Accept the safe prefix [0, minAct); discard the blocker. Each
 		// worker owns a disjoint word range of every vertex-indexed set,
 		// so the parallel pass is write-race-free and deterministic.
-		eng.ForBlocked(nil, words, func(lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				lw := live[wi]
-				base := wi << 6
-				for w := lw; w != 0; w &= w - 1 {
-					v := base + bits.TrailingZeros64(w)
-					switch {
-					case pos[v] < minAct:
-						res.InIS[v] = true
-						inISBits.Add(v)
-						live.Del(v)
-					case pos[v] == minAct:
-						res.Red[v] = true
-						redBits.Add(v)
-						live.Del(v)
-					}
-				}
-			}
-		})
+		if n < par.MinScanWork {
+			accept(live, inISBits, redBits, res, pos, minAct, 0, words)
+		} else {
+			eng.ForBlocked(nil, words, func(lo, hi int) { accept(live, inISBits, redBits, res, pos, minAct, lo, hi) })
+		}
 		par.ChargeStep(cost, k)
 		st.Accepted = minAct
 		if minAct < k {
@@ -299,6 +284,48 @@ func RunResidual(h *hypergraph.Residual, active []bool, s *rng.Stream, cost *par
 			res.Stats = append(res.Stats, st)
 		}
 		lp.End(st.Filtered + st.Accepted + st.Discarded)
+	}
+}
+
+// rank writes pos[v] = i for the candidates v = candidates[perm[i]] of
+// order positions [lo, hi).
+func rank(pos []int, candidates []hypergraph.V, perm []int, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		pos[candidates[perm[i]]] = i
+	}
+}
+
+// activate writes, for each edge i of [lo, hi), its activation
+// position act[i]: the largest rank among its vertices.
+func activate(cur *hypergraph.Residual, pos, act []int, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		m := -1
+		for _, v := range cur.Edge(i) {
+			m = max(m, pos[v])
+		}
+		act[i] = m
+	}
+}
+
+// accept colors the live vertices of bitset words [lo, hi): a vertex
+// ranked before minAct joins the IS, the one ranked at minAct turns
+// red, and both leave live.
+func accept(live, inIS, red bitset.Set, res *Result, pos []int, minAct, lo, hi int) {
+	for wi := lo; wi < hi; wi++ {
+		base := wi << 6
+		for w := live[wi]; w != 0; w &= w - 1 {
+			v := base + bits.TrailingZeros64(w)
+			switch {
+			case pos[v] < minAct:
+				res.InIS[v] = true
+				inIS.Add(v)
+				live.Del(v)
+			case pos[v] == minAct:
+				res.Red[v] = true
+				red.Add(v)
+				live.Del(v)
+			}
+		}
 	}
 }
 

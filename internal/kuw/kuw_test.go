@@ -8,6 +8,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/solver"
 )
 
 func run(t *testing.T, h *hypergraph.Hypergraph, seed uint64) *Result {
@@ -270,5 +271,41 @@ func TestFilterWarmWorkspaceZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, filterOnce); allocs != 0 {
 		t.Fatalf("warm filter phase allocated %v times, want 0", allocs)
+	}
+}
+
+// TestWarmSolveZeroAllocPerRound pins that a warm KUW round allocates
+// nothing: with a warm workspace, a solve that runs several times as
+// many rounds as another on the same vertex count allocates exactly as
+// often, at degree 1 and 4. What a solve does allocate (its Result and
+// masks) is per solve, not per round.
+func TestWarmSolveZeroAllocPerRound(t *testing.T) {
+	const n = 1000
+	few := hypergraph.RandomMixed(rng.New(12), n, 10, 2, 3)
+	many := hypergraph.RandomMixed(rng.New(12), n, 5000, 2, 3)
+	for _, p := range []int{1, 4} {
+		ws := solver.NewWorkspace()
+		opts := Options{Par: par.Engine{P: p}, Ws: ws}
+		solve := func(h *hypergraph.Hypergraph) (allocs float64, rounds int) {
+			once := func() {
+				res, err := Run(h, nil, rng.New(3), nil, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rounds = res.Rounds
+			}
+			once()
+			return testing.AllocsPerRun(10, once), rounds
+		}
+		solve(many) // size the workspace for the larger instance
+		aFew, rFew := solve(few)
+		aMany, rMany := solve(many)
+		if rMany < 3*rFew {
+			t.Fatalf("P=%d: %d rounds against %d, want at least three times as many", p, rMany, rFew)
+		}
+		if aMany != aFew {
+			t.Fatalf("P=%d: %v allocations in %d rounds, %v in %d: a warm round allocates", p, aMany, rMany, aFew, rFew)
+		}
+		t.Logf("P=%d: %v allocations per solve in %d and in %d rounds", p, aFew, rFew, rMany)
 	}
 }

@@ -59,10 +59,11 @@ const (
 	defaultGrain = 2048
 
 	// MinScanWork is the scan work below which callers run a sharded
-	// pass inline: the round pipeline's classify, slot-assignment,
-	// scatter and canonicalization passes, the verifier's two scans
-	// and BL's unmark pass. Each caller compares the measure it scans,
-	// arena vertices or, for slot assignment, edges. Below it the
+	// pass inline: the round pipeline's classify, slot-assignment and
+	// scatter passes, the verifier's two scans, BL's unmark pass and
+	// KUW's rank, activation and accept passes. Each caller compares
+	// the measure it scans: arena vertices, edges for slot assignment,
+	// vertices for KUW's rank and accept passes. Below it the
 	// sequential loops win, and they allocate nothing.
 	MinScanWork = 1 << 14
 )
@@ -377,10 +378,9 @@ func ChargeReduce(c *Cost, n int) { c.Charge(int64(n), log2Ceil(n)) }
 
 // ChargeSortMerge records sorting k items and merging them into a
 // sorted list of n: k·⌈log₂ k⌉ + n work and ⌈log₂ k⌉ + ⌈log₂ n⌉ depth.
-// The sort term is the idealized EREW bound of Cole's merge sort, not
-// the depth of a sort built from pairwise merge levels, each with its
-// own co-rank search (Θ(log² k)); the merge term is one Merge Path
-// merge, whose co-rank searches are the logarithmic step.
+// The sort term is the idealized EREW bound of Cole's merge sort and
+// the merge term a merge by co-rank search; both are model charges, and
+// the round pipeline runs its sort and merge serially.
 func ChargeSortMerge(c *Cost, k, n int) {
 	c.Charge(int64(k)*log2Ceil(k)+int64(n), log2Ceil(k)+log2Ceil(n))
 }
