@@ -296,3 +296,22 @@ func TestSteinerFacade(t *testing.T) {
 		t.Fatal("STS(10) should be rejected")
 	}
 }
+
+// TestWarmKUWSolveZeroAllocLoopState pins that a warm KUW solve keeps
+// its round loop's state on the stack: on the SolveKUW_n1000 instance
+// with a reused Workspace, a solve allocates at most 6 times. When the
+// sharded passes' closures captured the residual and the candidate list
+// themselves, both moved to the heap and a solve allocated 7 times.
+func TestWarmKUWSolveZeroAllocLoopState(t *testing.T) {
+	h := RandomMixed(3, 1000, 2000, 2, 12)
+	opts := Options{Algorithm: AlgKUW, Seed: 1, Parallelism: 1, Workspace: NewWorkspace()}
+	solve := func() {
+		if _, err := Solve(h, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(10, solve); allocs > 6 {
+		t.Fatalf("warm KUW solve made %v allocations, want at most 6", allocs)
+	}
+}

@@ -12,7 +12,8 @@
 // Concurrency: distinct words may be written by distinct goroutines
 // (the parallel passes split sets at word boundaries); writes to bits
 // of the same word must be serialized by the caller — per-shard sets
-// merged with Or are the package's answer to parallel scatter writes.
+// merged word-parallel by UnionShards are the package's answer to
+// parallel scatter writes.
 package bitset
 
 import (
@@ -84,35 +85,11 @@ func (s Set) Count() int {
 	return c
 }
 
-// CountRange returns the number of set bits among words [lo, hi) —
-// i.e. bits [64·lo, 64·hi). Used by sharded reductions.
-func (s Set) CountRange(lo, hi int) int {
-	c := 0
-	for _, w := range s[lo:hi] {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Or unions o into s (s |= o). Lengths must match.
-func (s Set) Or(o Set) {
-	for i, w := range o {
-		s[i] |= w
-	}
-}
-
 // OrRange unions words [lo, hi) of o into s; the word-range form the
 // parallel shard reduction uses (each worker owns a disjoint range).
 func (s Set) OrRange(o Set, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s[i] |= o[i]
-	}
-}
-
-// And intersects s with o (s &= o).
-func (s Set) And(o Set) {
-	for i, w := range o {
-		s[i] &= w
 	}
 }
 
@@ -141,29 +118,6 @@ func AndCount(a, b Set) int {
 	c := 0
 	for i, w := range a {
 		c += bits.OnesCount64(w & b[i])
-	}
-	return c
-}
-
-// AndNotCount returns |a \ b|.
-func AndNotCount(a, b Set) int {
-	c := 0
-	for i, w := range a {
-		c += bits.OnesCount64(w &^ b[i])
-	}
-	return c
-}
-
-// OrCount unions o into s (s |= o) and returns the resulting
-// population count in the same pass — the fused Or+Count form for mark
-// passes that need the union's size, halving the memory traffic of a
-// separate Count sweep.
-func (s Set) OrCount(o Set) int {
-	c := 0
-	for i, w := range o {
-		nw := s[i] | w
-		s[i] = nw
-		c += bits.OnesCount64(nw)
 	}
 	return c
 }
@@ -247,17 +201,6 @@ func UnionShards(eng par.Engine, dst Set, n, m, shards int, pool *[]Set, body fu
 			}
 		}
 	})
-}
-
-// FromBools packs a []bool mask.
-func FromBools(mask []bool) Set {
-	s := New(len(mask))
-	for i, b := range mask {
-		if b {
-			s.Add(i)
-		}
-	}
-	return s
 }
 
 // WriteBools unpacks s into mask (true where the bit is set, false

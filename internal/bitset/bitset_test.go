@@ -1,11 +1,21 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/par"
 	"testing"
 )
+
+// AndNotCount returns |a \ b|.
+func AndNotCount(a, b Set) int {
+	c := 0
+	for i, w := range a {
+		c += bits.OnesCount64(w &^ b[i])
+	}
+	return c
+}
 
 func TestBasicOps(t *testing.T) {
 	s := New(200)
@@ -97,15 +107,6 @@ func TestAgainstBools(t *testing.T) {
 		t.Fatalf("AndNotCount=%d want %d", got, andnotc)
 	}
 
-	u := New(n)
-	u.Copy(a)
-	u.Or(b)
-	refU := make([]bool, n)
-	for i := range refU {
-		refU[i] = ra[i] || rb[i]
-	}
-	check("or", u, refU)
-
 	d := New(n)
 	d.Copy(a)
 	d.AndNot(b)
@@ -115,18 +116,6 @@ func TestAgainstBools(t *testing.T) {
 	}
 	check("andnot", d, refD)
 
-	x := New(n)
-	x.Copy(a)
-	x.And(b)
-	refX := make([]bool, n)
-	for i := range refX {
-		refX[i] = ra[i] && rb[i]
-	}
-	check("and", x, refX)
-
-	if got := FromBools(ra); got.Count() != a.Count() {
-		t.Fatalf("FromBools count %d want %d", got.Count(), a.Count())
-	}
 	back := make([]bool, n)
 	a.WriteBools(back)
 	for i := range back {
@@ -178,9 +167,6 @@ func TestGrow(t *testing.T) {
 	if len(s) != Words(100) || s.Any() {
 		t.Fatalf("Grow(100): len=%d any=%v", len(s), s.Any())
 	}
-	if got := s.CountRange(0, len(s)); got != 0 {
-		t.Fatalf("CountRange=%d", got)
-	}
 }
 
 // TestUnionShards drives the parallel-scatter helper against a direct
@@ -213,8 +199,8 @@ func TestUnionShards(t *testing.T) {
 	}
 }
 
-// TestFusedKernels checks OrCount and AndNotInto against their
-// unfused equivalents, including the dst==a aliasing case AndNotInto
+// TestFusedKernels checks AndNotInto against AndNotCount and the
+// word-wise difference, including the dst==a aliasing case AndNotInto
 // documents.
 func TestFusedKernels(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -226,21 +212,6 @@ func TestFusedKernels(t *testing.T) {
 			}
 			if r.Intn(2) == 0 {
 				b.Add(i)
-			}
-		}
-		// OrCount: union in place, count of the result.
-		u := New(n)
-		u.Copy(a)
-		u.Or(b)
-		wantUnion := u.Count()
-		got := New(n)
-		got.Copy(a)
-		if c := got.OrCount(b); c != wantUnion {
-			t.Fatalf("n=%d: OrCount=%d want %d", n, c, wantUnion)
-		}
-		for i := range got {
-			if got[i] != u[i] {
-				t.Fatalf("n=%d: OrCount word %d = %#x want %#x", n, i, got[i], u[i])
 			}
 		}
 		// AndNotInto with a distinct destination.
@@ -277,23 +248,6 @@ func benchPair(n int) (Set, Set) {
 		b.Add(i)
 	}
 	return a, b
-}
-
-func BenchmarkOrThenCount1M(b *testing.B) {
-	x, y := benchPair(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Or(y)
-		_ = x.Count()
-	}
-}
-
-func BenchmarkOrCount1M(b *testing.B) {
-	x, y := benchPair(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.OrCount(y)
-	}
 }
 
 func BenchmarkCopyAndNotCount1M(b *testing.B) {

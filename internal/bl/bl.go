@@ -360,10 +360,9 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 		// Step 2: unmark every vertex of every fully-marked edge,
 		// evaluated against the original marking (parallel semantics:
 		// E_v is a function of the C_u's).
-		edges := cur.Edges()
 		unmark.Reset()
 		if st.Marked > 0 {
-			m := len(edges)
+			m := cur.M()
 			shards := eng.NumShards(m)
 			if cur.ArenaLen() < par.MinScanWork {
 				shards = 1
@@ -372,9 +371,9 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 			// is order-independent, so the result is identical to the
 			// sequential pass); shards==1 writes unmark directly.
 			bitset.UnionShards(eng, unmark, n, m, shards, shardUnmark, func(local bitset.Set, lo, hi int) {
-				markFullEdges(edges[lo:hi], marked, local)
+				markFullEdges(cur, lo, hi, marked, local)
 			})
-			par.ChargeStep(cost, len(edges))
+			par.ChargeStep(cost, m)
 			st.Unmarked = bitset.AndCount(marked, unmark)
 			par.ChargeReduce(cost, n)
 		}
@@ -406,7 +405,7 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 			for k := range migration {
 				migration[k] = make([]int, cur.Dim()+1)
 			}
-			for _, e := range edges {
+			for _, e := range cur.Edges() {
 				k := len(e)
 				j := 0
 				for _, v := range e {
@@ -448,9 +447,10 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 }
 
 // markFullEdges sets, in unmark, every vertex of every fully-marked
-// edge of the slice.
-func markFullEdges(edges []hypergraph.Edge, marked, unmark bitset.Set) {
-	for _, e := range edges {
+// edge of h's edges [lo, hi).
+func markFullEdges(h *hypergraph.Hypergraph, lo, hi int, marked, unmark bitset.Set) {
+	for i := lo; i < hi; i++ {
+		e := h.Edge(i)
 		full := true
 		for _, v := range e {
 			if !marked.Has(int(v)) {

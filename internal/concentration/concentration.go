@@ -35,13 +35,16 @@ type Weighted struct {
 	Weights []float64
 }
 
-// FromHypergraph wraps h with unit weights.
+// FromHypergraph wraps h with unit weights. The Weighted lists h's
+// edges, sharing their vertices with h.
 func FromHypergraph(h *hypergraph.Hypergraph) *Weighted {
+	edges := make([]hypergraph.Edge, h.M())
 	w := make([]float64, h.M())
-	for i := range w {
+	for i, e := range h.Edges() {
+		edges[i] = e
 		w[i] = 1
 	}
-	return &Weighted{N: h.N(), Edges: h.Edges(), Weights: w}
+	return &Weighted{N: h.N(), Edges: edges, Weights: w}
 }
 
 // Dim returns the dimension of the weighted hypergraph.

@@ -110,7 +110,6 @@ func runT5(cfg harness.Config) []*harness.Table {
 		if p > 1 {
 			p = 1
 		}
-		edges := h.Edges()
 		for _, xLen := range []int{1, 2} {
 			if xLen >= d {
 				continue
@@ -124,7 +123,7 @@ func runT5(cfg harness.Config) []*harness.Table {
 				// proper subsets of minimal edges are not edges after
 				// superset removal; random uniform instances rarely have
 				// nested edges at all).
-				e := edges[s.Intn(len(edges))]
+				e := h.Edge(s.Intn(h.M()))
 				x := e[:xLen]
 				ts := s.Child(uint64(t))
 				for v := range marked {
@@ -135,7 +134,7 @@ func runT5(cfg harness.Config) []*harness.Table {
 				}
 				// E_X: some vertex of X belongs to a fully-marked edge.
 				ex := false
-				for _, f := range edges {
+				for _, f := range h.Edges() {
 					all := true
 					touchesX := false
 					for _, v := range f {
@@ -209,7 +208,6 @@ func runT6(cfg harness.Config) []*harness.Table {
 		dj := tabDeg.NormDegree(x, j)
 		eps := dj / delta
 		bound := 0.25 * math.Pow(eps/a, float64(j))
-		edges := h.Edges()
 		s := rng.New(cfg.Seed + uint64(31*d))
 		marked := make([]bool, n)
 		unmark := make([]bool, n)
@@ -220,7 +218,7 @@ func runT6(cfg harness.Config) []*harness.Table {
 				marked[v] = ts.Child(uint64(v)).Bernoulli(p)
 				unmark[v] = false
 			}
-			for _, f := range edges {
+			for _, f := range h.Edges() {
 				all := true
 				for _, v := range f {
 					if !marked[v] {
@@ -235,7 +233,7 @@ func runT6(cfg harness.Config) []*harness.Table {
 				}
 			}
 			// Collapse: some petal Y (edge minus hub) fully added.
-			for _, f := range edges {
+			for _, f := range h.Edges() {
 				y := f[1:] // hub is vertex 0, first in sorted order
 				allIn := true
 				for _, v := range y {

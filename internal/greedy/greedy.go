@@ -98,15 +98,14 @@ func runOrder(h *hypergraph.Hypergraph, active []bool, order []hypergraph.V, ws 
 
 	// chosen[e] counts vertices of edge e already in the IS. An edge can
 	// only ever be completed if all its vertices are active.
-	edges := h.Edges()
-	chosen := ws.Int32s(0, len(edges))
-	completable := ws.Bools(0, len(edges))
+	chosen := ws.Int32s(0, h.M())
+	completable := ws.Bools(0, h.M())
 	if active == nil {
 		for i := range completable {
 			completable[i] = true
 		}
 	} else {
-		for i, e := range edges {
+		for i, e := range h.Edges() {
 			completable[i] = true
 			for _, v := range e {
 				if !active[v] {
@@ -125,7 +124,7 @@ func runOrder(h *hypergraph.Hypergraph, active []bool, order []hypergraph.V, ws 
 		}
 		ok := true
 		for _, ei := range inc[v] {
-			if completable[ei] && int(chosen[ei]) == len(edges[ei])-1 {
+			if completable[ei] && int(chosen[ei]) == len(h.Edge(int(ei)))-1 {
 				ok = false
 				break
 			}

@@ -45,6 +45,15 @@ func roundTripBinary(t *testing.T, h *hypergraph.Hypergraph) *hypergraph.Hypergr
 	return got
 }
 
+// edgeList collects h's edges for a failure message.
+func edgeList(h *hypergraph.Hypergraph) []hypergraph.Edge {
+	var edges []hypergraph.Edge
+	for _, e := range h.Edges() {
+		edges = append(edges, e)
+	}
+	return edges
+}
+
 func equalHypergraphs(a, b *hypergraph.Hypergraph) bool {
 	if a.N() != b.N() || a.M() != b.M() || a.Dim() != b.Dim() {
 		return false
@@ -170,7 +179,7 @@ func TestReadersRejectAliasingIDs(t *testing.T) {
 		"first id at n":    binaryEdge(5, 1),
 	} {
 		if h, err := ReadBinary(bytes.NewReader(in)); err == nil {
-			t.Errorf("binary %s accepted as %v", name, h.Edges())
+			t.Errorf("binary %s accepted as %v", name, edgeList(h))
 		}
 	}
 	// The largest in-range ids still parse.
@@ -408,9 +417,11 @@ func manyLineBody(size int) []byte {
 // (the arena grows by doubling). The reader that split lines with
 // strings.Fields allocated 239.0 MiB and 106.7 MiB here. A body of
 // about 1.29 M two-vertex lines, out of order and with repeats,
-// allocates at most 6.5·len(body) + 1 MiB: sorting it costs an int32
-// index per edge, not a temporary Edge header. Sorting the headers
-// allocated 7.56·len(body).
+// allocates at most 4.3·len(body) + 1 MiB (4.17× measured): each edge
+// costs its vertices and a 4-byte offset in the doubling arena, an
+// int32 index to sort it, and its packed copy. Sorting temporary Edge
+// headers allocated 7.56·len(body), and keeping a 24-byte Edge header
+// per edge in the Hypergraph 6.02·len(body).
 func TestReadTextMemoryBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -420,7 +431,7 @@ func TestReadTextMemoryBounded(t *testing.T) {
 	}{
 		{"ten ids on one line", oneLineBody(16<<20, 10), 4, func(h *hypergraph.Hypergraph) bool { return h.M() == 1 && h.Dim() == 10 }},
 		{"ids i%4000000 on one line", oneLineBody(16<<20, 4_000_000), 4, func(h *hypergraph.Hypergraph) bool { return h.M() == 1 }},
-		{"two-vertex lines", manyLineBody(16 << 20), 6.5, func(h *hypergraph.Hypergraph) bool { return h.Dim() == 2 && h.M() == 1_209_896 }},
+		{"two-vertex lines", manyLineBody(16 << 20), 4.3, func(h *hypergraph.Hypergraph) bool { return h.Dim() == 2 && h.M() == 1_209_896 }},
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -437,6 +448,30 @@ func TestReadTextMemoryBounded(t *testing.T) {
 		if alloc > limit {
 			t.Errorf("%s: reading a %d-byte body allocated %d bytes, limit %d", tc.name, len(tc.body), alloc, limit)
 		}
+	}
+}
+
+// TestReadBinaryMemoryBounded pins what one binary read of serve-small's
+// instance shape, RandomGraph(1000, 3000), allocates: at most 45 KB,
+// most of it the arena (24.0 KB) and the offsets (12.0 KB). With a
+// 24-byte Edge header per edge in the Hypergraph, a read allocated
+// 115,108 B.
+func TestReadBinaryMemoryBounded(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, hypergraph.RandomGraph(rng.New(1), 1000, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 45_000 {
+		t.Fatalf("a binary read of RandomGraph(1000, 3000) allocated %d bytes, limit 45000", per)
 	}
 }
 

@@ -24,7 +24,7 @@ func agreeWithReference(t *testing.T, in []byte, got *hypergraph.Hypergraph, err
 		return
 	}
 	if got.N() != want.N() || Digest(got) != Digest(want) {
-		t.Fatalf("input %q: reader gives %v %v, reference %v %v", in, got, got.Edges(), want, want.Edges())
+		t.Fatalf("input %q: reader gives %v %v, reference %v %v", in, got, edgeList(got), want, edgeList(want))
 	}
 	dim := 0
 	for i, e := range got.Edges() {

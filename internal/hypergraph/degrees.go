@@ -101,7 +101,8 @@ func (t *DegreeTable) getOrAdd(hash uint64, x Edge) int32 {
 // accumulates their counts.
 func (t *DegreeTable) scan(h *Hypergraph, lo, hi int) {
 	var scratch Edge
-	for _, e := range h.edges[lo:hi] {
+	for i := lo; i < hi; i++ {
+		e := h.Edge(i)
 		k := len(e)
 		full := uint32(1)<<uint(k) - 1
 		for mask := uint32(1); mask < full; mask++ {
@@ -154,7 +155,7 @@ func BuildDegreeTableOn(h *Hypergraph, eng par.Engine) *DegreeTable {
 	if h.Dim() > maxEnumerableDim {
 		panic("hypergraph: dimension too large for degree enumeration")
 	}
-	m := len(h.edges)
+	m := h.M()
 	perItem := 1 << uint(h.Dim()) // Dim ≤ maxEnumerableDim, checked above
 	work := m * perItem
 	shards := eng.ShardsFor(m, perItem)
@@ -283,29 +284,11 @@ func (t *DegreeTable) AllDeltas() []float64 {
 	return deltas
 }
 
-// MaxDegreeSet returns a subset x and level j attaining d_j(x,H) ≥
-// threshold, or nil if none exists. Used by the degree-collapse
-// experiment (T6) to locate high-degree witnesses.
-func (t *DegreeTable) MaxDegreeSet(threshold float64) (Edge, int) {
-	for id := 0; id < t.entries(); id++ {
-		row := t.row(int32(id))
-		for j := 1; j < len(row); j++ {
-			if row[j] == 0 {
-				continue
-			}
-			if math.Pow(float64(row[j]), 1/float64(j)) >= threshold {
-				return append(Edge(nil), t.subset(int32(id))...), j
-			}
-		}
-	}
-	return nil, 0
-}
-
 // NjDirect computes |N_j(x,H)| by scanning all edges — the reference
 // implementation the table is property-tested against.
 func NjDirect(h *Hypergraph, x Edge, j int) int {
 	count := 0
-	for _, e := range h.edges {
+	for _, e := range h.Edges() {
 		if len(e) == len(x)+j && ContainsSorted(e, x) {
 			count++
 		}
@@ -323,7 +306,7 @@ func DeltaDirect(h *Hypergraph) float64 {
 	seen := make(map[string]bool)
 	best := 0.0
 	var scratch Edge
-	for _, e := range h.edges {
+	for _, e := range h.Edges() {
 		k := len(e)
 		full := uint32(1)<<uint(k) - 1
 		for mask := uint32(1); mask < full; mask++ {

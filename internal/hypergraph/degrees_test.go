@@ -133,22 +133,6 @@ func TestAllDeltasConsistent(t *testing.T) {
 	}
 }
 
-func TestMaxDegreeSet(t *testing.T) {
-	s := rng.New(23)
-	h := Star(s, 60, 25, 3)
-	tab := BuildDegreeTable(h)
-	x, j := tab.MaxDegreeSet(4.0) // hub has d_2 = 5
-	if x == nil {
-		t.Fatal("no high-degree set found")
-	}
-	if tab.NormDegree(x, j) < 4.0 {
-		t.Fatalf("witness %v,%d has degree %v < 4", x, j, tab.NormDegree(x, j))
-	}
-	if x, _ := tab.MaxDegreeSet(1e9); x != nil {
-		t.Fatal("impossible threshold produced a witness")
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	h := NewBuilder(5).MustBuild()
 	tab := BuildDegreeTable(h)

@@ -15,29 +15,29 @@
 // # Representation
 //
 // A Hypergraph stores its edges in flat CSR (compressed sparse row)
-// form: one contiguous vertex arena and an offsets array, with the
-// public Edge values served as subslices of the arena:
+// form: one contiguous vertex arena and an offsets array, and serves
+// each public Edge value as a subslice of the arena, read through the
+// offsets (Edge(i), or the Edges iterator):
 //
 //	verts []V      one arena holding every edge's vertices back to back
 //	off   []int32  len M()+1; edge i is verts[off[i]:off[i+1]]
-//	edges []Edge   cached three-index subslice headers into verts
 //
 // Edges are kept in canonical order (lexicographically sorted,
 // deduplicated, each edge internally sorted and strictly increasing),
 // so edge i < edge i+1 under lessEdge and binary search over the edge
 // list is valid. A Hypergraph always keeps that promise.
 //
-// A Residual is the same CSR arena without the promise or the headers:
-// an edge multiset, each edge still sorted and strictly increasing, but
-// the edges in no order and possibly repeated. It is the residual
-// instance SBL's and KUW's round loops carry, because their rounds
-// never need the order; Hypergraph.Residual views a Hypergraph as one,
-// and InduceIntoBits turns the part BL reads back into a canonical
-// Hypergraph (see round.go).
+// A Residual is the same CSR arena without the promise: an edge
+// multiset, each edge still sorted and strictly increasing, but the
+// edges in no order and possibly repeated. It is the residual instance
+// SBL's and KUW's round loops carry, because their rounds never need
+// the order; a Hypergraph is its embedded Residual plus the promise,
+// Hypergraph.Residual views one as such, and InduceIntoBits turns the
+// part BL reads back into a canonical Hypergraph (see round.go).
 //
-// Ownership rules: a Hypergraph and everything reachable from Edges()
-// is immutable after construction — callers must never write through
-// the returned slices, and the package never does. The pure
+// Ownership rules: a Hypergraph and every Edge it serves are immutable
+// after construction — callers must never write through the served
+// slices, and the package never does. The pure
 // transformations in ops.go always copy surviving vertices into a
 // fresh arena, so their results share no storage with their inputs.
 // The scratch-based round pipeline in round.go is the one exception:
@@ -47,6 +47,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -64,16 +65,15 @@ type Edge []V
 // the generator functions; algorithms never mutate a Hypergraph in
 // place.
 type Hypergraph struct {
-	csr          // n, dim and the CSR arena; Residual views it
-	edges []Edge // cached headers into verts, canonical order
+	csr // n, dim and the CSR arena, in canonical order; Residual views it
 }
 
 // Residual is an edge multiset in CSR form, the residual instance the
 // SBL and KUW round loops carry: each edge is sorted and strictly
-// increasing, but the edges are in no order and may repeat, and there
-// are no Edge headers. Only the round pipeline produces one (see
-// NextResidual); a Hypergraph's canonical edge list is a valid
-// multiset, so Hypergraph.Residual views one without a copy.
+// increasing, but the edges are in no order and may repeat. Only the
+// round pipeline produces one (see NextResidual); a Hypergraph's
+// canonical edge list is a valid multiset, so Hypergraph.Residual views
+// one without a copy.
 type Residual struct {
 	n     int
 	dim   int
@@ -106,37 +106,24 @@ func (r *Residual) ArenaLen() int { return len(r.verts) }
 // Edge returns edge i. Callers must not mutate it.
 func (r *Residual) Edge(i int) Edge { return r.verts[r.off[i]:r.off[i+1]:r.off[i+1]] }
 
-// packCanon copies an already-canonical edge list (each edge sorted and
-// strictly increasing, list lex-sorted and deduplicated) into a fresh
-// CSR arena. The input edges are only read.
-func packCanon(n int, canon []Edge) *Hypergraph {
+// pack copies the edges of r that idx lists, in that order, into a
+// fresh CSR arena of exactly their size. The listed edges must already
+// be in canonical order and distinct; r is only read.
+func pack(r *Residual, idx []int32) *Hypergraph {
 	total, dim := 0, 0
-	for _, e := range canon {
-		total += len(e)
-		if len(e) > dim {
-			dim = len(e)
-		}
+	for _, i := range idx {
+		k := int(r.off[i+1] - r.off[i])
+		total += k
+		dim = max(dim, k)
 	}
 	verts := make([]V, total)
-	off := make([]int32, len(canon)+1)
-	pos := 0
-	for i, e := range canon {
-		off[i] = int32(pos)
-		copy(verts[pos:], e)
-		pos += len(e)
+	off := make([]int32, len(idx)+1)
+	w := 0
+	for j, i := range idx {
+		w += copy(verts[w:], r.Edge(int(i)))
+		off[j+1] = int32(w)
 	}
-	off[len(canon)] = int32(total)
-	return &Hypergraph{csr{n: n, dim: dim, verts: verts, off: off}, edgeHeaders(verts, off)}
-}
-
-// edgeHeaders returns the Edge headers of a CSR arena, each capped at
-// its own end so that an append through one cannot reach the next.
-func edgeHeaders(verts []V, off []int32) []Edge {
-	edges := make([]Edge, len(off)-1)
-	for i := range edges {
-		edges[i] = verts[off[i]:off[i+1]:off[i+1]]
-	}
-	return edges
+	return &Hypergraph{csr{n: r.n, dim: dim, verts: verts, off: off}}
 }
 
 // NewBuilder returns a builder for a hypergraph on n vertices.
@@ -213,8 +200,8 @@ func (b *Builder) Push(v V) {
 // vertices in total, so a caller that knows the size up front fills the
 // arena without reallocating it.
 func (b *Builder) Grow(edges, verts int) {
-	b.verts = slices.Grow(b.verts, verts)
-	b.off = slices.Grow(b.off, edges+1)
+	b.verts = grow(b.verts, verts)
+	b.off = grow(b.off, edges+1)
 }
 
 // makeRoom makes room for k more vertices. When the open edge has
@@ -259,10 +246,10 @@ func (b *Builder) EndEdge() {
 		b.verts = b.verts[:b.open]
 		return
 	}
-	b.off = grow(b.off, 2)
 	if len(b.off) == 0 {
-		b.off = append(b.off, 0)
+		b.off = append(grow(b.off, 2), 0)
 	}
+	b.off = grow(b.off, 1)
 	if m := len(b.off) - 1; m > 0 && !b.unsorted && slices.Compare(b.verts[b.off[m-1]:b.open], e) >= 0 {
 		b.unsorted = true
 	}
@@ -325,7 +312,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		}
 		verts, off = canonicalize(verts, off, nil, idx, idx, nil, nil)
 	}
-	return &Hypergraph{csr{n: b.n, dim: b.dim, verts: verts, off: off}, edgeHeaders(verts, off)}, nil
+	return &Hypergraph{csr{n: b.n, dim: b.dim, verts: verts, off: off}}, nil
 }
 
 // sortEdge sorts a vertex slice ascending. Small edges (the common
@@ -354,12 +341,6 @@ func (b *Builder) MustBuild() *Hypergraph {
 		panic(err)
 	}
 	return h
-}
-
-// dedupEdges sorts edges lexicographically and removes exact duplicates.
-func dedupEdges(edges []Edge) []Edge {
-	slices.SortFunc(edges, func(a, b Edge) int { return slices.Compare(a, b) })
-	return slices.CompactFunc(edges, equalEdge)
 }
 
 func lessEdge(a, b Edge) bool {
@@ -393,8 +374,18 @@ func FromEdges(n int, edges []Edge) (*Hypergraph, error) {
 	return b.Build()
 }
 
-// Edges returns the canonical edge list. Callers must not mutate it.
-func (h *Hypergraph) Edges() []Edge { return h.edges }
+// Edges returns an iterator over the edges in canonical order, yielding
+// each edge's index and the edge as Edge serves it. Callers must not
+// mutate the edges.
+func (h *Hypergraph) Edges() iter.Seq2[int, Edge] {
+	return func(yield func(int, Edge) bool) {
+		for i := range h.M() {
+			if !yield(i, h.Edge(i)) {
+				return
+			}
+		}
+	}
+}
 
 // HasEdge reports whether the exact edge (as a vertex set) is present.
 // The canonical edge list is lex-sorted, so this is a binary search:
@@ -402,8 +393,8 @@ func (h *Hypergraph) Edges() []Edge { return h.edges }
 func (h *Hypergraph) HasEdge(vs ...V) bool {
 	e := append(Edge(nil), vs...)
 	sortEdge(e)
-	i := sort.Search(len(h.edges), func(i int) bool { return !lessEdge(h.edges[i], e) })
-	return i < len(h.edges) && equalEdge(h.edges[i], e)
+	i := sort.Search(h.M(), func(i int) bool { return !lessEdge(h.Edge(i), e) })
+	return i < h.M() && equalEdge(h.Edge(i), e)
 }
 
 // Incidence returns, for each vertex, the indices of edges containing
@@ -419,7 +410,7 @@ func (h *Hypergraph) Incidence() [][]int32 {
 		deg[v] += deg[v-1]
 	}
 	flat := make([]int32, len(h.verts))
-	for i, e := range h.edges {
+	for i, e := range h.Edges() {
 		for _, v := range e {
 			flat[deg[v]] = int32(i)
 			deg[v]++
@@ -436,7 +427,7 @@ func (h *Hypergraph) Incidence() [][]int32 {
 // VertexDegrees returns the number of edges containing each vertex.
 func (h *Hypergraph) VertexDegrees() []int {
 	deg := make([]int, h.n)
-	for _, e := range h.edges {
+	for _, e := range h.Edges() {
 		for _, v := range e {
 			deg[v]++
 		}
@@ -468,7 +459,7 @@ func (h *Hypergraph) DegreeSummary() (maxDeg, isolated int) {
 // (index 0 unused).
 func (h *Hypergraph) DimHistogram() []int {
 	hist := make([]int, h.dim+1)
-	for _, e := range h.edges {
+	for _, e := range h.Edges() {
 		hist[len(e)]++
 	}
 	return hist
@@ -476,7 +467,7 @@ func (h *Hypergraph) DimHistogram() []int {
 
 // String summarizes the hypergraph.
 func (h *Hypergraph) String() string {
-	return fmt.Sprintf("Hypergraph{n=%d, m=%d, dim=%d}", h.n, len(h.edges), h.dim)
+	return fmt.Sprintf("Hypergraph{n=%d, m=%d, dim=%d}", h.n, h.M(), h.dim)
 }
 
 // Clone returns a deep copy. Useful when callers need to hold onto a
@@ -484,7 +475,7 @@ func (h *Hypergraph) String() string {
 func (h *Hypergraph) Clone() *Hypergraph {
 	verts := append([]V(nil), h.verts...)
 	off := append([]int32(nil), h.off...)
-	return &Hypergraph{csr{n: h.n, dim: h.dim, verts: verts, off: off}, edgeHeaders(verts, off)}
+	return &Hypergraph{csr{n: h.n, dim: h.dim, verts: verts, off: off}}
 }
 
 // ContainsSorted reports whether sorted edge e contains sorted subset x.

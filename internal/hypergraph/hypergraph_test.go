@@ -5,8 +5,98 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/rng"
 )
+
+// edgeList collects h's edges, for tests that index or print them.
+func edgeList(h *Hypergraph) []Edge {
+	var edges []Edge
+	for _, e := range h.Edges() {
+		edges = append(edges, e)
+	}
+	return edges
+}
+
+// checkEdges requires h.Edges() to yield exactly Edge(0), …, Edge(M−1),
+// in order and each capped at its own end, over offsets that span the
+// whole arena.
+func checkEdges(t *testing.T, label string, h *Hypergraph) {
+	t.Helper()
+	m := h.M()
+	if len(h.off) != m+1 || h.off[0] != 0 || int(h.off[m]) != len(h.verts) {
+		t.Fatalf("%s: offsets %v for %d edges over %d vertices", label, h.off, m, len(h.verts))
+	}
+	next := 0
+	for i, e := range h.Edges() {
+		want := h.Edge(i)
+		if i != next || len(e) == 0 || len(e) != len(want) || &e[0] != &want[0] || cap(e) != len(e) {
+			t.Fatalf("%s: yield %d is edge %d %v (len %d, cap %d), want edge %d %v",
+				label, next, i, e, len(e), cap(e), next, h.Edge(next))
+		}
+		next++
+	}
+	if next != m {
+		t.Fatalf("%s: Edges yielded %d edges, want %d", label, next, m)
+	}
+	if m < 2 {
+		return
+	}
+	seen := 0
+	for i := range h.Edges() {
+		seen++
+		if i == 1 {
+			break
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("%s: a break after edge 1 saw %d edges", label, seen)
+	}
+}
+
+// TestEdgesIterator runs checkEdges on a Hypergraph from every source:
+// Build on input in canonical order (whose arena it keeps) and out of
+// order (which it packs), Clone, the ops.go transforms, and the round
+// pipeline's InduceIntoBits and NextRoundBits.
+func TestEdgesIterator(t *testing.T) {
+	src := RandomMixed(rng.New(31), 200, 400, 1, 6)
+	inOrder, reversed := NewBuilder(src.N()), NewBuilder(src.N())
+	for _, e := range src.Edges() {
+		inOrder.AddEdgeSlice(e)
+	}
+	for i := src.M() - 1; i >= 0; i-- {
+		reversed.AddEdgeSlice(src.Edge(i))
+	}
+	red, blue := randomColors(rng.New(32), src.N())
+	in := bitset.New(src.N())
+	for v := 0; v < src.N(); v += 3 {
+		in.Add(v)
+		in.Add(v + 1)
+	}
+	scr := &RoundScratch{}
+	shrunk, _ := Shrink(src, has(blue))
+	singletonFree, _ := RemoveSingletons(src)
+	round, _ := NextRoundBits(src, red, blue, scr, nil)
+	for _, c := range []struct {
+		label string
+		h     *Hypergraph
+	}{
+		{"Build in order", inOrder.MustBuild()},
+		{"Build out of order", reversed.MustBuild()},
+		{"Clone", src.Clone()},
+		{"Shrink", shrunk},
+		{"RemoveSingletons", singletonFree},
+		{"RemoveSupersets", RemoveSupersets(src)},
+		{"InduceIntoBits", InduceIntoBits(src.Residual(), in, scr, nil)},
+		{"NextRoundBits", round},
+		{"edgeless", NewBuilder(4).MustBuild()},
+	} {
+		if c.h.M() < 2 && c.label != "edgeless" {
+			t.Fatalf("%s: only %d edges", c.label, c.h.M())
+		}
+		checkEdges(t, c.label, c.h)
+	}
+}
 
 func TestBuilderCanonicalizes(t *testing.T) {
 	h, err := NewBuilder(10).
@@ -18,7 +108,7 @@ func TestBuilderCanonicalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.M() != 2 {
-		t.Fatalf("expected 2 canonical edges, got %d: %v", h.M(), h.Edges())
+		t.Fatalf("expected 2 canonical edges, got %d: %v", h.M(), edgeList(h))
 	}
 	if !h.HasEdge(1, 2, 3) {
 		t.Fatal("missing canonical edge {1,2,3}")
@@ -175,8 +265,8 @@ func TestDiffSorted(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	h := NewBuilder(4).AddEdge(0, 1, 2).MustBuild()
 	c := h.Clone()
-	c.edges[0][0] = 3
-	if h.edges[0][0] != 0 {
+	c.Edge(0)[0] = 3
+	if h.Edge(0)[0] != 0 {
 		t.Fatal("Clone shares edge storage")
 	}
 }
@@ -245,7 +335,7 @@ func TestInduced(t *testing.T) {
 		t.Fatal("induced must preserve the vertex universe")
 	}
 	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Fatalf("wrong edges: %v", sub.Edges())
+		t.Fatalf("wrong edges: %v", edgeList(sub))
 	}
 }
 
@@ -253,7 +343,7 @@ func TestDiscardTouching(t *testing.T) {
 	h := NewBuilder(5).AddEdge(0, 1).AddEdge(2, 3).MustBuild()
 	got := DiscardTouching(h, func(v V) bool { return v == 1 })
 	if got.M() != 1 || !got.HasEdge(2, 3) {
-		t.Fatalf("got %v", got.Edges())
+		t.Fatalf("got %v", edgeList(got))
 	}
 }
 
@@ -264,7 +354,7 @@ func TestShrink(t *testing.T) {
 		t.Fatalf("emptied = %d", emptied)
 	}
 	if !got.HasEdge(0, 2) || !got.HasEdge(3, 4) {
-		t.Fatalf("got %v", got.Edges())
+		t.Fatalf("got %v", edgeList(got))
 	}
 }
 
@@ -281,7 +371,7 @@ func TestShrinkMergesDuplicates(t *testing.T) {
 	h := NewBuilder(4).AddEdge(0, 1, 2).AddEdge(0, 1, 3).MustBuild()
 	got, _ := Shrink(h, func(v V) bool { return v >= 2 })
 	if got.M() != 1 || !got.HasEdge(0, 1) {
-		t.Fatalf("got %v", got.Edges())
+		t.Fatalf("got %v", edgeList(got))
 	}
 }
 
@@ -289,7 +379,7 @@ func TestRemoveSupersets(t *testing.T) {
 	h := NewBuilder(5).AddEdge(0, 1).AddEdge(0, 1, 2).AddEdge(2, 3, 4).MustBuild()
 	got := RemoveSupersets(h)
 	if got.M() != 2 {
-		t.Fatalf("got %d edges: %v", got.M(), got.Edges())
+		t.Fatalf("got %d edges: %v", got.M(), edgeList(got))
 	}
 	if got.HasEdge(0, 1, 2) {
 		t.Fatal("superset {0,1,2} of {0,1} survived")
@@ -300,7 +390,7 @@ func TestRemoveSupersetsKeepsIncomparable(t *testing.T) {
 	h := NewBuilder(6).AddEdge(0, 1, 2).AddEdge(1, 2, 3).AddEdge(3, 4).MustBuild()
 	got := RemoveSupersets(h)
 	if got.M() != 3 {
-		t.Fatalf("incomparable edges dropped: %v", got.Edges())
+		t.Fatalf("incomparable edges dropped: %v", edgeList(got))
 	}
 }
 
@@ -308,7 +398,7 @@ func TestRemoveSingletons(t *testing.T) {
 	h := NewBuilder(5).AddEdge(2).AddEdge(0, 1).AddEdge(3).MustBuild()
 	got, blocked := RemoveSingletons(h)
 	if got.M() != 1 || !got.HasEdge(0, 1) {
-		t.Fatalf("got %v", got.Edges())
+		t.Fatalf("got %v", edgeList(got))
 	}
 	if len(blocked) != 2 {
 		t.Fatalf("blocked = %v", blocked)
@@ -380,7 +470,7 @@ func TestRandomMixedSizes(t *testing.T) {
 func TestLinearIsLinear(t *testing.T) {
 	s := rng.New(3)
 	h := Linear(s, 300, 80, 3)
-	edges := h.Edges()
+	edges := edgeList(h)
 	for i := range edges {
 		for j := i + 1; j < len(edges); j++ {
 			if IntersectionSize(edges[i], edges[j]) > 1 {
@@ -412,7 +502,7 @@ func TestSunflowerStructure(t *testing.T) {
 	if h.M() != 8 {
 		t.Fatalf("m = %d", h.M())
 	}
-	edges := h.Edges()
+	edges := edgeList(h)
 	// Any two edges intersect exactly in the core (size 2).
 	for i := range edges {
 		if len(edges[i]) != 5 {

@@ -1,6 +1,8 @@
 package hypergraph
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/par"
 )
@@ -9,8 +11,10 @@ import (
 // loops apply between rounds. All of them preserve canonical form
 // (sorted, deduplicated edges) without re-running the Builder, and all
 // of them copy surviving edges into a fresh CSR arena — outputs never
-// alias their inputs. The scratch-based, allocation-free variants the
-// solver round loops use live in round.go.
+// alias their inputs. The filters list the indices of the edges they
+// keep, a subsequence of the canonical list, and pack copies those
+// edges once. The scratch-based, allocation-free variants the solver
+// round loops use live in round.go.
 
 // Induced returns the hypergraph H' = (V', E') of the paper's SBL round:
 // same vertex universe, but only edges entirely contained in the set
@@ -30,13 +34,13 @@ func Induced(h *Hypergraph, in func(V) bool) *Hypergraph {
 // FilterEdges keeps only edges satisfying keep. A subset of a canonical
 // edge list is itself canonical, so the survivors are packed directly.
 func FilterEdges(h *Hypergraph, keep func(Edge) bool) *Hypergraph {
-	kept := make([]Edge, 0, len(h.edges))
-	for _, e := range h.edges {
+	kept := make([]int32, 0, h.M())
+	for i, e := range h.Edges() {
 		if keep(e) {
-			kept = append(kept, e)
+			kept = append(kept, int32(i))
 		}
 	}
-	return packCanon(h.n, kept)
+	return pack(&h.csr, kept)
 }
 
 // DiscardTouching removes every edge containing at least one vertex with
@@ -58,28 +62,36 @@ func DiscardTouching(h *Hypergraph, touch func(V) bool) *Hypergraph {
 // empty are reported via the second return value; for a correct MIS
 // pipeline this never happens (an edge fully inside the independent set
 // would contradict independence), so callers treat emptied > 0 as an
-// invariant violation.
+// invariant violation. It is the reference the round pipeline is
+// property-tested against, so it shares no code with canonicalize or
+// the Builder.
 func Shrink(h *Hypergraph, drop func(V) bool) (*Hypergraph, int) {
 	// Stage shrunk edges into one arena; removing vertices can break the
-	// lexicographic edge order and create duplicates, so the staged
-	// headers are sorted and deduplicated before they are packed.
-	arena := make([]V, 0, len(h.verts))
-	kept := make([]Edge, 0, len(h.edges))
+	// lexicographic edge order and create duplicates, so an index over
+	// the staged edges is sorted and deduplicated before they are packed.
+	staged := &Residual{n: h.n, verts: make([]V, 0, len(h.verts)), off: make([]int32, 1, len(h.off))}
 	emptied := 0
-	for _, e := range h.edges {
-		start := len(arena)
+	for _, e := range h.Edges() {
+		start := len(staged.verts)
 		for _, v := range e {
 			if !drop(v) {
-				arena = append(arena, v)
+				staged.verts = append(staged.verts, v)
 			}
 		}
-		if len(arena) == start {
+		if len(staged.verts) == start {
 			emptied++
 			continue
 		}
-		kept = append(kept, arena[start:len(arena):len(arena)])
+		staged.off = append(staged.off, int32(len(staged.verts)))
 	}
-	return packCanon(h.n, dedupEdges(kept)), emptied
+	idx := make([]int32, staged.M())
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	byEdge := func(x, y int32) int { return slices.Compare(staged.Edge(int(x)), staged.Edge(int(y))) }
+	slices.SortFunc(idx, byEdge)
+	idx = slices.CompactFunc(idx, func(x, y int32) bool { return byEdge(x, y) == 0 })
+	return pack(staged, idx), emptied
 }
 
 // RemoveSupersets discards every edge that strictly contains another
@@ -100,22 +112,22 @@ func RemoveSupersets(h *Hypergraph) *Hypergraph {
 // hashed edge index they probe is built once and read-only). The
 // result is identical for any engine.
 func RemoveSupersetsOn(h *Hypergraph, eng par.Engine) *Hypergraph {
+	m := h.M()
+	dominated := make([]bool, m)
 	if h.Dim() <= maxEnumerableDim {
-		m := len(h.edges)
 		present := newEdgeIndex(m)
-		for i, e := range h.edges {
-			present.add(hashEdge(e), int32(i))
+		for i := range m {
+			present.add(hashEdge(h.Edge(i)), int32(i))
 		}
 		lookup := func(x Edge) bool {
-			return present.find(hashEdge(x), func(id int32) bool { return equalEdge(h.edges[id], x) }) >= 0
+			return present.find(hashEdge(x), func(id int32) bool { return equalEdge(h.Edge(int(id)), x) }) >= 0
 		}
-		dominated := make([]bool, m)
 		perItem := 1 << uint(min(h.Dim(), 30))
 		shards := eng.ShardsFor(m, perItem)
 		eng.ForShardsWork(nil, m, perItem, shards, func(_, lo, hi int) {
 			var scratch Edge
 			for i := lo; i < hi; i++ {
-				e := h.edges[i]
+				e := h.Edge(i)
 				k := len(e)
 				full := uint32(1)<<uint(k) - 1
 				for mask := uint32(1); mask < full; mask++ {
@@ -132,32 +144,24 @@ func RemoveSupersetsOn(h *Hypergraph, eng par.Engine) *Hypergraph {
 				}
 			}
 		})
-		kept := make([]Edge, 0, m)
-		for i, e := range h.edges {
-			if !dominated[i] {
-				kept = append(kept, e)
+	} else {
+		// Pairwise fallback for very large dimension.
+		for i, e := range h.Edges() {
+			for j, f := range h.Edges() {
+				if i != j && len(f) < len(e) && ContainsSorted(e, f) {
+					dominated[i] = true
+					break
+				}
 			}
-		}
-		return packCanon(h.n, kept)
-	}
-	// Pairwise fallback for very large dimension.
-	kept := make([]Edge, 0, len(h.edges))
-	for i, e := range h.edges {
-		dominated := false
-		for j, f := range h.edges {
-			if i == j || len(f) >= len(e) {
-				continue
-			}
-			if ContainsSorted(e, f) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			kept = append(kept, e)
 		}
 	}
-	return packCanon(h.n, kept)
+	kept := make([]int32, 0, m)
+	for i, d := range dominated {
+		if !d {
+			kept = append(kept, int32(i))
+		}
+	}
+	return pack(&h.csr, kept)
 }
 
 // RemoveSingletons drops every singleton edge {v} and returns the
@@ -166,13 +170,13 @@ func RemoveSupersetsOn(h *Hypergraph, eng par.Engine) *Hypergraph {
 // from the working vertex set.
 func RemoveSingletons(h *Hypergraph) (*Hypergraph, []V) {
 	var blocked []V
-	kept := make([]Edge, 0, len(h.edges))
-	for _, e := range h.edges {
+	kept := make([]int32, 0, h.M())
+	for i, e := range h.Edges() {
 		if len(e) == 1 {
 			blocked = append(blocked, e[0])
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, int32(i))
 	}
 	if len(blocked) == 0 {
 		return h, nil
@@ -182,7 +186,7 @@ func RemoveSingletons(h *Hypergraph) (*Hypergraph, []V) {
 	// removed from V'. We keep such edges (they are harmless: the
 	// blocked vertex is never marked again), matching the pseudocode,
 	// which only deletes the singleton edges themselves.
-	return packCanon(h.n, kept), blocked
+	return pack(&h.csr, kept), blocked
 }
 
 // UsedVertices returns a mask of vertices appearing in at least one edge.

@@ -48,15 +48,10 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// csrBuf is one reusable CSR arena plus the Hypergraph header served
-// from it; a Residual served from it is that header's embedded one.
-// Only canonical output fills the edge headers.
-type csrBuf struct {
-	verts []V
-	off   []int32
-	edges []Edge
-	hg    Hypergraph
-}
+// csrBuf is one reusable CSR arena, grown in place, and the Hypergraph
+// served from it; a Residual served from it is that Hypergraph's
+// embedded one.
+type csrBuf struct{ Hypergraph }
 
 // grow reslices the arena and offsets to the requested sizes,
 // reallocating only when capacity is insufficient.
@@ -65,26 +60,11 @@ func (b *csrBuf) grow(nVerts, nEdges int) {
 	b.off = resize(b.off, nEdges+1)
 }
 
-// edge returns edge j of the arena, read through off (the headers are
-// built last).
-func (b *csrBuf) edge(j int32) Edge { return b.verts[b.off[j]:b.off[j+1]] }
-
-// residual installs the Residual header over the buffer's arena.
-func (b *csrBuf) residual(n, dim int) *Residual {
-	b.hg = Hypergraph{csr: csr{n: n, dim: dim, verts: b.verts, off: b.off}}
-	return &b.hg.csr
-}
-
-// finish builds the edge headers from off/verts and installs the
-// Hypergraph header over the buffer's arrays.
+// finish sets the shape of the Hypergraph over the buffer's arena and
+// returns it; every edge is then served from the offsets.
 func (b *csrBuf) finish(n, dim int) *Hypergraph {
-	b.edges = resize(b.edges, len(b.off)-1)
-	for i := range b.edges {
-		b.edges[i] = b.verts[b.off[i]:b.off[i+1]:b.off[i+1]]
-	}
-	b.residual(n, dim)
-	b.hg.edges = b.edges
-	return &b.hg
+	b.n, b.dim = n, dim
+	return &b.Hypergraph
 }
 
 // RoundScratch holds the reusable arenas of the fused round pipeline.
@@ -139,7 +119,8 @@ type shardTally struct {
 // output shape), so a poisoned scratch must still produce identical
 // rounds — the workspace-pooling property tests call this between jobs
 // to prove no stale state leaks through. Hypergraphs previously served
-// from the scratch are invalidated.
+// from the scratch are invalidated, since they read the poisoned arenas
+// and offsets.
 func (scr *RoundScratch) Poison() {
 	bufs := []*csrBuf{&scr.ring[0], &scr.ring[1], &scr.sample}
 	for _, b := range bufs {
@@ -148,9 +129,6 @@ func (scr *RoundScratch) Poison() {
 		}
 		for i := range b.off {
 			b.off[i] = -1
-		}
-		for i := range b.edges {
-			b.edges[i] = nil
 		}
 	}
 	for _, s := range [][]int32{scr.keep, scr.pos, scr.split, scr.spillOff} {
@@ -170,7 +148,7 @@ func (scr *RoundScratch) Poison() {
 // not occupy.
 func (scr *RoundScratch) target(cur *Residual) *csrBuf {
 	idx := scr.ringIdx
-	if cur == &scr.ring[idx].hg.csr {
+	if cur == &scr.ring[idx].csr {
 		idx = 1 - idx
 	}
 	scr.ringIdx = idx
@@ -305,7 +283,7 @@ func (scr *RoundScratch) assignSlots(h *Residual) shardTally {
 // in canonical order and distinct, and unsorted, possibly out of place.
 // When one of unsorted is, it canonicalizes the arena into the spill
 // buffers, swaps them in (no allocation once warm) and charges the sort
-// and merge to c; either way it then builds the edge headers.
+// and merge to c.
 func (scr *RoundScratch) canonical(dst *csrBuf, sorted, unsorted []int32, n, dim int, c *par.Cost) *Hypergraph {
 	if len(unsorted) > 0 && !shrunkInOrder(dst, unsorted) {
 		scr.spill, scr.spillOff = canonicalize(dst.verts, dst.off, sorted, unsorted, scr.keep, scr.spill, scr.spillOff)
@@ -423,7 +401,7 @@ func (scr *RoundScratch) round(cur *Residual, red, blue bitset.Set, c *par.Cost)
 // cur and never retain older rounds.
 func NextResidual(cur *Residual, red, blue bitset.Set, scr *RoundScratch, c *par.Cost) (*Residual, int) {
 	dst, tot := scr.round(cur, red, blue, c)
-	return dst.residual(cur.n, int(tot.dim)), int(tot.emptied)
+	return dst.finish(cur.n, int(tot.dim)).Residual(), int(tot.emptied)
 }
 
 // NextRoundBits is the round of NextResidual on a canonical Hypergraph,
@@ -496,10 +474,10 @@ func roundScatterBits(cur *Residual, blue bitset.Set, keep, pos []int32, dst *cs
 func shrunkInOrder(dst *csrBuf, shr []int32) bool {
 	last := int32(len(dst.off) - 2)
 	for x, j := range shr {
-		if j > 0 && (x == 0 || shr[x-1] != j-1) && slices.Compare(dst.edge(j-1), dst.edge(j)) >= 0 {
+		if j > 0 && (x == 0 || shr[x-1] != j-1) && slices.Compare(dst.Edge(int(j-1)), dst.Edge(int(j))) >= 0 {
 			return false
 		}
-		if j < last && slices.Compare(dst.edge(j), dst.edge(j+1)) >= 0 {
+		if j < last && slices.Compare(dst.Edge(int(j)), dst.Edge(int(j+1))) >= 0 {
 			return false
 		}
 	}

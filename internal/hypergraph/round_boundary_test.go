@@ -60,7 +60,7 @@ func boundaryColors(n int) (red, blue bitset.Set) {
 // length: in reverse order, with every seventh edge replaced by a copy
 // of its predecessor when the two have the same size.
 func boundaryResidual(h *Hypergraph) *Residual {
-	edges := slices.Clone(h.Edges())
+	edges := edgeList(h)
 	slices.Reverse(edges)
 	for i := 6; i < len(edges); i += 7 {
 		if len(edges[i]) == len(edges[i-1]) {
@@ -267,22 +267,7 @@ func TestCanonicalizeParityAtThreshold(t *testing.T) {
 				t.Fatalf("%s: canonicalization did not run", label)
 			}
 			sameEdges(t, label, ref, got)
-			sameArena(t, label, got)
-		}
-	}
-}
-
-// sameArena checks that h's edge headers, offsets and arena agree: a
-// canonicalizing round rewrites all three.
-func sameArena(t *testing.T, label string, h *Hypergraph) {
-	t.Helper()
-	if len(h.off) != len(h.edges)+1 || int(h.off[len(h.edges)]) != len(h.verts) {
-		t.Fatalf("%s: %d offsets, last %d, for %d edges over %d vertices",
-			label, len(h.off), h.off[len(h.off)-1], len(h.edges), len(h.verts))
-	}
-	for i, e := range h.edges {
-		if !equalEdge(e, h.verts[h.off[i]:h.off[i+1]]) || cap(e) != len(e) {
-			t.Fatalf("%s: edge %d header %v disagrees with the arena", label, i, e)
+			checkEdges(t, label, got)
 		}
 	}
 }

@@ -99,14 +99,14 @@ func canonOf(r *Residual) *Hypergraph {
 }
 
 // sameCSR requires got to be byte-identical to want: the same shape,
-// arena and offsets, with headers that agree with them.
+// arena and offsets, with Edges serving exactly that arena.
 func sameCSR(t *testing.T, label string, got, want *Hypergraph) {
 	t.Helper()
 	if got.N() != want.N() || got.Dim() != want.Dim() || !slices.Equal(got.verts, want.verts) || !slices.Equal(got.off, want.off) {
 		t.Fatalf("%s: CSR (n=%d dim=%d verts=%v off=%v), want (n=%d dim=%d verts=%v off=%v)",
 			label, got.N(), got.Dim(), got.verts, got.off, want.N(), want.Dim(), want.verts, want.off)
 	}
-	sameArena(t, label, got)
+	checkEdges(t, label, got)
 }
 
 // sameResidual requires two residuals to be byte-identical.

@@ -65,7 +65,7 @@ func TestSteinerIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := h.Edges()
+	edges := edgeList(h)
 	for i := range edges {
 		for j := i + 1; j < len(edges); j++ {
 			if IntersectionSize(edges[i], edges[j]) > 1 {

@@ -13,7 +13,7 @@ import "fmt"
 // IsTransversal reports whether the set {v : in[v]} intersects every
 // edge of h.
 func IsTransversal(h *Hypergraph, in []bool) bool {
-	for _, e := range h.edges {
+	for _, e := range h.Edges() {
 		hit := false
 		for _, v := range e {
 			if in[v] {
@@ -42,7 +42,7 @@ func VerifyMinimalTransversal(h *Hypergraph, in []bool) error {
 	// Coverage, and per-edge count of chosen vertices (an edge hit
 	// exactly once pins its chosen vertex as essential).
 	essential := make([]bool, h.n)
-	for i, e := range h.edges {
+	for i, e := range h.Edges() {
 		hits := 0
 		last := -1
 		for _, v := range e {

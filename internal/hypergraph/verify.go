@@ -18,7 +18,7 @@ func IsIndependent(h *Hypergraph, in []bool) bool {
 // index across shards is returned, so the witness is identical for any
 // engine.
 func firstContainedEdge(h *Hypergraph, in []bool, eng par.Engine) int {
-	m := len(h.edges)
+	m := h.M()
 	contained := func(e Edge) bool {
 		for _, v := range e {
 			if !in[v] {
@@ -29,8 +29,8 @@ func firstContainedEdge(h *Hypergraph, in []bool, eng par.Engine) int {
 	}
 	shards := eng.NumShards(m)
 	if len(h.verts) < par.MinScanWork || shards <= 1 {
-		for i, e := range h.edges {
-			if contained(e) {
+		for i := range m {
+			if contained(h.Edge(i)) {
 				return i
 			}
 		}
@@ -45,7 +45,7 @@ func firstContainedEdge(h *Hypergraph, in []bool, eng par.Engine) int {
 	}
 	eng.ForShards(nil, m, shards, func(s, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if contained(h.edges[i]) {
+			if contained(h.Edge(i)) {
 				firsts[s] = i
 				return
 			}
@@ -57,13 +57,6 @@ func firstContainedEdge(h *Hypergraph, in []bool, eng par.Engine) int {
 		}
 	}
 	return -1
-}
-
-// IsMaximalIndependent reports whether the set is independent and
-// maximal: adding any vertex outside the set creates a fully-contained
-// edge. Note a vertex with no incident edges must always be in a MIS.
-func IsMaximalIndependent(h *Hypergraph, in []bool) bool {
-	return VerifyMIS(h, in) == nil
 }
 
 // VerifyMIS checks independence and maximality and returns a descriptive
@@ -84,17 +77,17 @@ func VerifyMISOn(h *Hypergraph, in []bool, eng par.Engine) error {
 		return fmt.Errorf("verify: set has length %d, hypergraph has %d vertices", len(in), h.n)
 	}
 	if i := firstContainedEdge(h, in, eng); i != -1 {
-		return fmt.Errorf("verify: not independent: edge #%d %v fully contained", i, h.edges[i])
+		return fmt.Errorf("verify: not independent: edge #%d %v fully contained", i, h.Edge(i))
 	}
 	// Maximality: for each vertex u not in the set, adding u must make
 	// some edge fully contained; equivalently some edge e ∋ u has all
 	// other vertices in the set.
-	m := len(h.edges)
+	m := h.M()
 	markCompletes := func(completes bitset.Set, lo, hi int) {
-		for _, e := range h.edges[lo:hi] {
+		for i := lo; i < hi; i++ {
 			missing := -1
 			count := 0
-			for _, v := range e {
+			for _, v := range h.Edge(i) {
 				if !in[v] {
 					count++
 					missing = int(v)

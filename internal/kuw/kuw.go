@@ -232,11 +232,14 @@ func RunResidual(h *hypergraph.Residual, active []bool, s *rng.Stream, cost *par
 		s.Child(uint64(st.Round)).Shuffle(perm)
 		// Each pass below runs inline under par.MinScanWork: a closure
 		// handed to the engine would be the warm round's one allocation.
+		// The closures capture copies of candidates and cur, so that the
+		// loop's own variables stay on the stack.
 		if k < par.MinScanWork {
 			rank(pos, candidates, perm, 0, k)
 			par.ChargeStep(cost, k)
 		} else {
-			eng.ForBlocked(cost, k, func(lo, hi int) { rank(pos, candidates, perm, lo, hi) })
+			cand := candidates
+			eng.ForBlocked(cost, k, func(lo, hi int) { rank(pos, cand, perm, lo, hi) })
 		}
 		par.ChargeAux(cost, int64(k), int64(mathx.ILog2(k))) // permutation generation
 
@@ -251,7 +254,8 @@ func RunResidual(h *hypergraph.Residual, active []bool, s *rng.Stream, cost *par
 			minAct = min(k, slices.Min(act))
 			par.ChargeReduce(cost, len(act))
 		} else {
-			eng.ForBlocked(cost, len(act), func(lo, hi int) { activate(cur, pos, act, lo, hi) })
+			c := cur
+			eng.ForBlocked(cost, len(act), func(lo, hi int) { activate(c, pos, act, lo, hi) })
 			minAct = par.ReduceOn(eng, cost, act, k, func(a, b int) int { return min(a, b) })
 		}
 

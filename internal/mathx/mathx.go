@@ -100,29 +100,3 @@ func PowInt(x float64, k int) float64 {
 	}
 	return r
 }
-
-// Clamp bounds v into [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// BinomialCoeff returns C(n, k) as float64 (may overflow to +Inf).
-func BinomialCoeff(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r *= float64(n-i) / float64(i+1)
-	}
-	return r
-}

@@ -100,21 +100,3 @@ func TestPowInt(t *testing.T) {
 		t.Fatalf("0.5^3 = %v", got)
 	}
 }
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp broken")
-	}
-}
-
-func TestBinomialCoeff(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want float64
-	}{{5, 2, 10}, {10, 0, 1}, {10, 10, 1}, {10, 3, 120}, {4, 5, 0}, {4, -1, 0}}
-	for _, c := range cases {
-		if got := BinomialCoeff(c.n, c.k); math.Abs(got-c.want) > 1e-9 {
-			t.Fatalf("C(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-	}
-}

@@ -89,10 +89,6 @@ func NewPool(workers int) *Pool {
 // dispatch onto the pool. deg <= 0 means GOMAXPROCS, as in Engine{P: deg}.
 func (p *Pool) Engine(deg int) Engine { return Engine{P: deg, pool: p} }
 
-// Workers returns the number of worker goroutines the pool was started
-// with.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close releases the worker goroutines and waits for them to exit.
 // Workers finish the pass they are on; passes dispatched after Close
 // run inline on their caller. Close is idempotent.

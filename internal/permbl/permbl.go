@@ -145,7 +145,6 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 	)
 	state := ws.Int8s(0, n)
 	inc := h.Incidence()
-	edges := h.Edges()
 
 	res := &Result{InIS: make([]bool, n)}
 	eng := opts.Par
@@ -177,7 +176,7 @@ func Run(h *hypergraph.Hypergraph, active []bool, s *rng.Stream, cost *par.Cost,
 			}
 			decision := int8(1) // join unless blocked or unknown
 			for _, ei := range inc[vi] {
-				e := edges[ei]
+				e := h.Edge(int(ei))
 				// Classify this edge's predecessors of v.
 				allPredIn := true  // every other vertex precedes v and is in the IS
 				knownSafe := false // some predecessor is decided out, or some other vertex follows v

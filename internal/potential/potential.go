@@ -1,8 +1,8 @@
 // Package potential implements the potential-function machinery of
 // Kelsen's analysis and the paper's Section 3.1 modification of it: the
-// recurrences f and F, the per-dimension values v_i(H) with thresholds
-// T_j, the stage counts q_j, and the feasibility inequalities that
-// decide whether the induction goes through — including the paper's
+// recurrences f and F, the per-dimension values v_i(H), and the
+// feasibility inequalities that decide whether the induction goes
+// through — including the paper's
 // demonstration that Kelsen's original constant (+7) *fails* for
 // super-constant dimension while the modified constant (+d²) succeeds,
 // and the Section 4.1 lower-bound argument that F must stay roughly
@@ -186,15 +186,7 @@ func StageBoundLog(n float64, d int) float64 {
 	return mathx.Factorial(d+4) * math.Log2(mathx.Log2(n))
 }
 
-// QStagesLog returns log₂ of q_j = 2^{d(d+1)}·(log log n)·
-// (log n)^{F(j−1)·(j−1)+2}: the number of stages after which a large
-// normalized degree at level j has collapsed w.h.p.
-func (t *FTable) QStagesLog(n float64, d, j int) float64 {
-	return float64(d*(d+1)) + math.Log2(mathx.LogLog2(n)) +
-		(t.F[j-1]*float64(j-1)+2)*math.Log2(mathx.Log2(n))
-}
-
-// --- v_i values and thresholds (computed in log₂-space) ---
+// --- v_i values (computed in log₂-space) ---
 
 // VValuesLog computes log₂ v_i(H) for i = 2..d from the measured
 // normalized degrees Δ_i(H) (deltas indexed by i, as returned by
@@ -222,17 +214,6 @@ func (t *FTable) VValuesLog(n float64, deltas []float64) []float64 {
 		} else {
 			out[i] = cand
 		}
-	}
-	return out
-}
-
-// ThresholdsLog returns log₂ T_j = log₂ v₂ − F(j−1)·log₂ log n for
-// j = 2..d, given log₂ v₂.
-func (t *FTable) ThresholdsLog(n float64, logV2 float64, d int) []float64 {
-	out := make([]float64, d+1)
-	logLogN := math.Log2(mathx.Log2(n))
-	for j := 2; j <= d; j++ {
-		out[j] = logV2 - t.F[j-1]*logLogN
 	}
 	return out
 }

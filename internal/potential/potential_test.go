@@ -159,19 +159,6 @@ func TestFeasiblePaperAtLargeScale(t *testing.T) {
 	}
 }
 
-func TestQStagesMonotoneInJ(t *testing.T) {
-	tab := PaperTable(6)
-	n := float64(1 << 20)
-	prev := math.Inf(-1)
-	for j := 2; j <= 6; j++ {
-		q := tab.QStagesLog(n, 6, j)
-		if q < prev {
-			t.Fatalf("q_j not nondecreasing at j=%d", j)
-		}
-		prev = q
-	}
-}
-
 func TestStageBoundLogAstronomical(t *testing.T) {
 	// (log n)^{(d+4)!} for d=4, n=2^16: log₂ = 8!·log₂16 = 40320·4.
 	got := StageBoundLog(1<<16, 4)
@@ -200,16 +187,6 @@ func TestVValuesLogZeroDeltas(t *testing.T) {
 	v := tab.VValuesLog(1<<16, []float64{0, 0, 0, 0})
 	if !math.IsInf(v[2], -1) || !math.IsInf(v[3], -1) {
 		t.Fatalf("zero deltas should give −Inf: %v", v)
-	}
-}
-
-func TestThresholdsLogDecrease(t *testing.T) {
-	tab := PaperTable(5)
-	th := tab.ThresholdsLog(1<<20, 100, 5)
-	for j := 3; j <= 5; j++ {
-		if th[j] >= th[j-1] {
-			t.Fatalf("T_j not decreasing at j=%d: %v", j, th)
-		}
 	}
 }
 

@@ -77,12 +77,8 @@ type BLLayout struct {
 // the machine: it is the static program, not the computation.
 func BuildBLLayout(m *Machine, h *hypergraph.Hypergraph) *BLLayout {
 	n := h.N()
-	edges := h.Edges()
-	S := 0
-	for _, e := range edges {
-		S += len(e)
-	}
-	L := &BLLayout{N: n, M: len(edges)}
+	S := h.ArenaLen()
+	L := &BLLayout{N: n, M: h.M()}
 	off := 0
 	alloc := func(k int) int { o := off; off += k; return o }
 	L.randOff = alloc(n)
@@ -98,13 +94,13 @@ func BuildBLLayout(m *Machine, h *hypergraph.Hypergraph) *BLLayout {
 	m.Grow(off)
 
 	// Slot positions: edge e owns slots [start[e], start[e]+|e|).
-	start := make([]int, len(edges)+1)
-	for i, e := range edges {
+	start := make([]int, L.M+1)
+	for i, e := range h.Edges() {
 		start[i+1] = start[i] + len(e)
 	}
 	// Vertex incidence → slot positions, and the gather area mapping.
 	vertSlots := make([][]int, n)
-	for ei, e := range edges {
+	for ei, e := range h.Edges() {
 		for si, v := range e {
 			vertSlots[v] = append(vertSlots[v], start[ei]+si)
 		}
@@ -153,13 +149,13 @@ func BuildBLLayout(m *Machine, h *hypergraph.Hypergraph) *BLLayout {
 	// Step 3: per-edge AND trees over slotMark segments (in place,
 	// pairing i with width-1-i as in ReduceSum).
 	maxEdge := h.Dim()
-	widths := make([]int, len(edges))
-	for i, e := range edges {
+	widths := make([]int, L.M)
+	for i, e := range h.Edges() {
 		widths[i] = len(e)
 	}
 	for level := maxEdge; level > 1; level = (level + 1) / 2 {
 		var round []binop
-		for ei := range edges {
+		for ei := range L.M {
 			w := widths[ei]
 			if w <= 1 {
 				continue
@@ -175,19 +171,19 @@ func BuildBLLayout(m *Machine, h *hypergraph.Hypergraph) *BLLayout {
 			L.andRounds = append(L.andRounds, round)
 		}
 	}
-	for ei := range edges {
+	for ei := range L.M {
 		L.edgeOutPairs = append(L.edgeOutPairs, pair{L.slotMark + start[ei], L.edgeFull + ei})
 	}
 
 	// Step 4: per-edge doubling broadcast edgeFull[e] → slotUnmk segment.
 	var useed []pair
-	for ei := range edges {
+	for ei := range L.M {
 		useed = append(useed, pair{L.edgeFull + ei, L.slotUnmk + start[ei]})
 	}
 	L.ubcastRounds = append(L.ubcastRounds, useed)
 	for done := 1; done < maxEdge; done *= 2 {
 		var round []pair
-		for ei, e := range edges {
+		for ei, e := range h.Edges() {
 			g := len(e)
 			base := L.slotUnmk + start[ei]
 			for i := done; i < g && i < 2*done; i++ {

@@ -1,11 +1,10 @@
 // Package stats provides the summary statistics the experiment harness
-// reports: means, deviations, quantiles, histograms, and least-squares
+// reports: means, deviations, quantiles, and least-squares
 // growth-exponent fits on log-log data (the tool that turns "SBL depth
 // grows like n^0.2, KUW like n^0.5" into a number).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -72,18 +71,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MeanInt is a convenience mean over integer samples.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	return sum / float64(len(xs))
-}
-
 // Fit is a least-squares line y = Slope·x + Intercept with goodness R².
 type Fit struct {
 	Slope, Intercept, R2 float64
@@ -138,93 +125,4 @@ func GrowthExponent(xs, ys []float64) Fit {
 		}
 	}
 	return LinearFit(lx, ly)
-}
-
-// Histogram counts values into uniform-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Under    int // values below Min
-	Over     int // values above Max
-}
-
-// NewHistogram builds a histogram with the given bucket count.
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if buckets < 1 {
-		buckets = 1
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, buckets)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x > h.Max:
-		h.Over++
-	default:
-		span := h.Max - h.Min
-		idx := 0
-		if span > 0 {
-			idx = int(float64(len(h.Counts)) * (x - h.Min) / span)
-			if idx >= len(h.Counts) {
-				idx = len(h.Counts) - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of recorded values, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// String renders a compact text histogram.
-func (h *Histogram) String() string {
-	out := ""
-	span := h.Max - h.Min
-	width := span / float64(len(h.Counts))
-	maxC := 1
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, c := range h.Counts {
-		lo := h.Min + float64(i)*width
-		bar := ""
-		for j := 0; j < 40*c/maxC; j++ {
-			bar += "#"
-		}
-		out += fmt.Sprintf("%10.3g ┤%-40s %d\n", lo, bar, c)
-	}
-	return out
-}
-
-// BootstrapCI estimates a (lo, hi) percentile confidence interval for
-// the mean by resampling. The resampler function must return a uniform
-// integer in [0, n) per call (injected so the stats package stays free
-// of the rng dependency direction).
-func BootstrapCI(xs []float64, rounds int, conf float64, intn func(n int) int) (lo, hi float64) {
-	n := len(xs)
-	if n == 0 || rounds < 2 {
-		return math.NaN(), math.NaN()
-	}
-	means := make([]float64, rounds)
-	for r := 0; r < rounds; r++ {
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += xs[intn(n)]
-		}
-		means[r] = sum / float64(n)
-	}
-	sort.Float64s(means)
-	alpha := (1 - conf) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
 }

@@ -3,8 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestSummarizeBasics(t *testing.T) {
@@ -50,15 +48,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMeanInt(t *testing.T) {
-	if MeanInt([]int{1, 2, 3}) != 2 {
-		t.Fatal("MeanInt broken")
-	}
-	if MeanInt(nil) != 0 {
-		t.Fatal("MeanInt(nil) != 0")
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1
@@ -99,46 +88,5 @@ func TestGrowthExponentSkipsNonPositive(t *testing.T) {
 	f := GrowthExponent([]float64{0, 2, 4, 8}, []float64{-1, 2, 4, 8})
 	if math.Abs(f.Slope-1) > 1e-9 {
 		t.Fatalf("exponent = %v, want 1 after filtering", f.Slope)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1, 5, 9.9, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1 fall in [0,2)
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.String() == "" {
-		t.Fatal("empty histogram string")
-	}
-}
-
-func TestBootstrapCICoversMean(t *testing.T) {
-	s := rng.New(1)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = s.Float64() * 10 // uniform(0,10), mean 5
-	}
-	lo, hi := BootstrapCI(xs, 500, 0.95, s.Intn)
-	if !(lo < 5 && 5 < hi) {
-		t.Fatalf("95%% CI (%v, %v) misses the true mean 5", lo, hi)
-	}
-	if hi-lo > 2 {
-		t.Fatalf("CI too wide: (%v, %v)", lo, hi)
-	}
-}
-
-func TestBootstrapCIEdge(t *testing.T) {
-	lo, hi := BootstrapCI(nil, 100, 0.95, func(int) int { return 0 })
-	if !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Fatal("empty bootstrap should be NaN")
 	}
 }
